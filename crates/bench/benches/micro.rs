@@ -41,16 +41,23 @@ fn bench_hierarchy() {
     g.bench("touch_read_l1_hit", || {
         black_box(m.touch_read(0, pa));
     });
-    // Alternate two conflicting-in-L1 lines that stay in LLC.
-    let pa1 = r.pa(0);
-    let pa2 = r.pa(128 << 10);
-    let mut flip = false;
+    // 32 lines 32 KB apart share one L1 set and one L2 set (8 ways each),
+    // so cycling through them misses both private caches every time but
+    // stays resident in the LLC.
+    let ring = |i: usize| r.pa(i % 32 * (32 << 10));
     for i in 0..32 {
-        m.touch_read(0, r.pa(i * (128 << 10) % (32 << 20)));
+        m.touch_read(0, ring(i));
     }
+    let lat = m.touch_read(0, ring(0));
+    let cfg = m.config();
+    assert!(
+        lat > u64::from(cfg.l2.latency) && lat < u64::from(cfg.dram_latency),
+        "the ring must hit in the LLC, took {lat} cycles"
+    );
+    let mut next = 0usize;
     g.bench("touch_read_llc_hit", || {
-        flip = !flip;
-        black_box(m.touch_read(0, if flip { pa1 } else { pa2 }));
+        next += 1;
+        black_box(m.touch_read(0, ring(next)));
     });
     let mut off = 0usize;
     g.bench("touch_read_streaming_miss", || {
@@ -66,6 +73,13 @@ fn bench_hierarchy() {
     g.bench("dma_write_64B", || {
         off2 = (off2 + 2048) % (32 << 20);
         m.dma_write(r.pa(off2), &frame);
+    });
+    // One MTU-sized packet: 24 lines placed into the DDIO ways.
+    let packet = [0u8; 1500];
+    let mut off3 = 0usize;
+    g.bench("dma_write_1500B", || {
+        off3 = (off3 + 2048) % (32 << 20);
+        m.dma_write(r.pa(off3), &packet);
     });
 }
 

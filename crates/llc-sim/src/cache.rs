@@ -5,15 +5,50 @@
 //! them together. A cache stores *line numbers* (physical address >> 6)
 //! only — data bytes live in [`crate::mem::PhysMem`], which is sound for a
 //! behavioural model because a hit/miss decision never depends on data.
+//!
+//! # Layout
+//!
+//! The whole cache is one flat `Vec<u64>` of `set_count` equal blocks,
+//! one per set, so an access touches one contiguous run of words and
+//! never follows a pointer:
+//!
+//! ```text
+//! | tag[0] .. tag[ways-1] | replacement state | valid |
+//! ```
+//!
+//! * A tag packs `line << 1 | dirty`. An empty way holds [`EMPTY`]
+//!   (`u64::MAX`), which no packed tag can equal because a line number is
+//!   a physical address shifted right by 6, so `line < 2^58`. A lookup
+//!   therefore compares tags without consulting the valid mask.
+//! * The replacement state is whatever the policy keeps per set (see
+//!   [`crate::replacement`]): `ways` LRU stamps followed by the set's
+//!   clock, or nothing.
+//! * `valid` has bit `w` set exactly when way `w` holds a line. Way masks
+//!   (CAT, DDIO) use the same bit numbering, so the first free way a mask
+//!   allows is `(!valid & mask & all_ways).trailing_zeros()`. Masks are
+//!   `u64`, so a cache has at most 64 ways.
 
-use crate::replacement::{ReplacementKind, ReplacementState};
+use crate::replacement::ReplacementKind;
 use trafficgen::Rng64;
 
-/// One resident cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    line: u64,
-    dirty: bool,
+/// Tag word of an empty way. Never a packed tag, since `line < 2^58`.
+const EMPTY: u64 = u64::MAX;
+
+/// The largest associativity a `u64` way mask can address.
+pub(crate) const MAX_WAYS: usize = 64;
+
+/// The mask selecting ways `0..n` (all ways of an `n`-way cache).
+///
+/// # Panics
+///
+/// Panics when `n > 64`.
+pub(crate) fn low_ways(n: usize) -> u64 {
+    assert!(n <= MAX_WAYS, "a way mask addresses at most 64 ways");
+    if n == 0 {
+        0
+    } else {
+        u64::MAX >> (MAX_WAYS - n)
+    }
 }
 
 /// A line evicted to make room, reported to the caller for write-back.
@@ -38,12 +73,39 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// One set's block of the flat array, split into its three parts.
+struct Set<'a> {
+    tags: &'a mut [u64],
+    state: &'a mut [u64],
+    valid: &'a mut u64,
+}
+
+impl<'a> Set<'a> {
+    #[inline]
+    fn split(block: &'a mut [u64], ways: usize) -> Self {
+        let (tags, rest) = block.split_at_mut(ways);
+        let (valid, state) = rest
+            .split_last_mut()
+            .expect("a block ends in its valid mask");
+        Set { tags, state, valid }
+    }
+}
+
+/// The way holding `line`, if any.
+#[inline]
+fn find(tags: &[u64], line: u64) -> Option<usize> {
+    tags.iter().position(|&t| t >> 1 == line)
+}
+
 /// A set-associative cache of line numbers with write-back semantics.
 #[derive(Debug)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Option<Entry>>>,
-    repl: Vec<ReplacementState>,
+    /// `set_count` blocks of `stride` words each; see the module docs.
+    words: Vec<u64>,
+    kind: ReplacementKind,
     ways: usize,
+    stride: usize,
+    all_ways: u64,
     set_count: usize,
     set_mask: u64,
     rng: Rng64,
@@ -58,19 +120,31 @@ impl SetAssocCache {
     ///
     /// # Panics
     ///
-    /// Panics if `set_count` is not a power of two or either dimension is 0.
+    /// Panics if `set_count` is not a power of two, either dimension is 0,
+    /// `ways` exceeds [`MAX_WAYS`], or the policy rejects `ways` (tree-PLRU
+    /// needs a power of two).
     pub fn new(set_count: usize, ways: usize, kind: ReplacementKind, seed: u64) -> Self {
         assert!(set_count.is_power_of_two(), "set count must be 2^k");
         assert!(ways > 0, "need at least one way");
+        assert!(
+            ways <= MAX_WAYS,
+            "{ways} ways: way masks are u64, so a cache has at most 64 ways"
+        );
+        kind.check_ways(ways);
+        let stride = ways + kind.state_words(ways) + 1;
+        let mut words = vec![0; set_count * stride];
+        for block in words.chunks_exact_mut(stride) {
+            block[..ways].fill(EMPTY);
+        }
         Self {
-            sets: vec![vec![None; ways]; set_count],
-            repl: (0..set_count)
-                .map(|_| ReplacementState::new(kind, ways))
-                .collect(),
+            words,
+            kind,
             ways,
+            stride,
+            all_ways: low_ways(ways),
             set_count,
             set_mask: (set_count - 1) as u64,
-            rng: ReplacementState::make_rng(seed),
+            rng: Rng64::seed_from_u64(seed),
             stats: CacheStats::default(),
         }
     }
@@ -105,40 +179,53 @@ impl SetAssocCache {
         self.stats = CacheStats::default();
     }
 
+    /// The tags of the set `line` maps to.
+    #[inline]
+    fn tags(&self, line: u64) -> &[u64] {
+        let base = self.set_of(line) * self.stride;
+        &self.words[base..base + self.ways]
+    }
+
+    /// The block of the set `line` maps to, split into its parts.
+    #[inline]
+    fn set_mut(&mut self, line: u64) -> Set<'_> {
+        let base = self.set_of(line) * self.stride;
+        Set::split(&mut self.words[base..base + self.stride], self.ways)
+    }
+
     /// Looks up `line`; on a hit updates recency and returns whether the
     /// line was dirty.
     pub fn lookup(&mut self, line: u64) -> Option<bool> {
-        let set = self.set_of(line);
-        for (w, slot) in self.sets[set].iter().enumerate() {
-            if let Some(e) = slot {
-                if e.line == line {
-                    self.repl[set].touch(w);
-                    self.stats.hits += 1;
-                    return Some(e.dirty);
-                }
-            }
+        let kind = self.kind;
+        let set = self.set_mut(line);
+        let hit = find(set.tags, line).map(|w| {
+            kind.touch(set.state, w);
+            set.tags[w] & 1 == 1
+        });
+        if hit.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
-        self.stats.misses += 1;
-        None
+        hit
     }
 
     /// True when `line` is resident; does **not** touch recency or stats
     /// (an observation, not a simulated access).
     pub fn probe(&self, line: u64) -> bool {
-        let set = self.set_of(line);
-        self.sets[set].iter().flatten().any(|e| e.line == line)
+        find(self.tags(line), line).is_some()
     }
 
     /// Marks a resident line dirty; returns false when not resident.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        for slot in self.sets[set].iter_mut().flatten() {
-            if slot.line == line {
-                slot.dirty = true;
-                return true;
+        let set = self.set_mut(line);
+        match find(set.tags, line) {
+            Some(w) => {
+                set.tags[w] |= 1;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Inserts `line`, evicting if the set is full. Equivalent to
@@ -155,70 +242,73 @@ impl SetAssocCache {
     ///
     /// * If the line is already resident (in **any** way), it is updated in
     ///   place — masks restrict allocation, not hits.
-    /// * Otherwise a free way *within the mask* is used, else the
+    /// * Otherwise the lowest free way *within the mask* is used, else the
     ///   replacement policy picks a victim within the mask.
     ///
     /// Returns the evicted line, if any.
     ///
     /// # Panics
     ///
-    /// Panics when `mask` selects no existing way.
+    /// Panics when `mask` selects no existing way, or when `line` is not a
+    /// line number (`line >= 2^58`), which a packed tag cannot hold.
     pub fn insert_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Option<Evicted> {
-        let set = self.set_of(line);
+        assert!(line < 1 << 58, "{line:#x} is not a line number");
+        let (kind, allowed) = (self.kind, mask & self.all_ways);
+        let base = self.set_of(line) * self.stride;
+        let set = Set::split(&mut self.words[base..base + self.stride], self.ways);
         // Already resident: update dirtiness and recency.
-        for (w, slot) in self.sets[set].iter_mut().enumerate() {
-            if let Some(e) = slot {
-                if e.line == line {
-                    e.dirty |= dirty;
-                    self.repl[set].touch(w);
-                    return None;
-                }
-            }
+        if let Some(w) = find(set.tags, line) {
+            set.tags[w] |= u64::from(dirty);
+            kind.touch(set.state, w);
+            return None;
         }
         self.stats.fills += 1;
-        // Free way inside the mask?
-        for w in 0..self.ways {
-            if mask & (1u64 << w) != 0 && self.sets[set][w].is_none() {
-                self.sets[set][w] = Some(Entry { line, dirty });
-                self.repl[set].touch(w);
-                return None;
-            }
+        let tag = line << 1 | u64::from(dirty);
+        let free = !*set.valid & allowed;
+        if free != 0 {
+            let w = free.trailing_zeros() as usize;
+            set.tags[w] = tag;
+            *set.valid |= 1 << w;
+            kind.touch(set.state, w);
+            return None;
         }
-        let effective = mask & ((1u64 << self.ways) - 1).max(1);
-        let w = self.repl[set].victim_masked(&mut self.rng, effective);
-        let old = self.sets[set][w].replace(Entry { line, dirty });
-        self.repl[set].touch(w);
+        // Every allowed way is valid here, so the victim holds a line.
+        let w = kind.victim_masked(set.state, &mut self.rng, allowed);
+        let old = std::mem::replace(&mut set.tags[w], tag);
+        kind.touch(set.state, w);
         self.stats.evictions += 1;
-        old.map(|e| Evicted {
-            line: e.line,
-            dirty: e.dirty,
+        Some(Evicted {
+            line: old >> 1,
+            dirty: old & 1 == 1,
         })
     }
 
     /// Removes `line` if resident, returning whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
-        let set = self.set_of(line);
-        for slot in self.sets[set].iter_mut() {
-            if let Some(e) = *slot {
-                if e.line == line {
-                    *slot = None;
-                    return Some(e.dirty);
-                }
-            }
-        }
-        None
+        let w = find(self.tags(line), line)?;
+        let set = self.set_mut(line);
+        let old = std::mem::replace(&mut set.tags[w], EMPTY);
+        *set.valid &= !(1 << w);
+        Some(old & 1 == 1)
     }
 
     /// Number of currently valid lines (test/inspection helper).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().map(|s| s.iter().flatten().count()).sum()
+        self.words
+            .chunks_exact(self.stride)
+            .map(|block| block[self.stride - 1].count_ones() as usize)
+            .sum()
     }
 
-    /// Iterates over all resident `(line, dirty)` pairs (inspection only).
+    /// Iterates over all resident `(line, dirty)` pairs, set by set and way
+    /// by way (inspection only).
     pub fn resident_lines(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
-        self.sets
-            .iter()
-            .flat_map(|s| s.iter().flatten().map(|e| (e.line, e.dirty)))
+        self.words.chunks_exact(self.stride).flat_map(|block| {
+            block[..self.ways]
+                .iter()
+                .filter(|&&t| t != EMPTY)
+                .map(|&t| (t >> 1, t & 1 == 1))
+        })
     }
 }
 
@@ -366,5 +456,39 @@ mod tests {
     #[should_panic(expected = "2^k")]
     fn rejects_non_pow2_sets() {
         cache(3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 ways")]
+    fn rejects_more_ways_than_a_mask_addresses() {
+        cache(1, 65);
+    }
+
+    #[test]
+    fn sixty_four_ways_fill_every_way_before_evicting() {
+        let mut c = cache(1, 64);
+        for line in 0..64 {
+            assert!(c.insert(line, false).is_none());
+        }
+        assert_eq!(c.occupancy(), 64);
+        assert_eq!(c.insert(64, false).map(|e| e.line), Some(0));
+        // The top way is addressable by a mask.
+        assert_eq!(
+            c.insert_masked(65, false, 1 << 63).map(|e| e.line),
+            Some(63)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a line number")]
+    fn rejects_lines_a_tag_cannot_pack() {
+        cache(1, 2).insert(1 << 58, false);
+    }
+
+    #[test]
+    fn low_ways_covers_zero_to_sixty_four() {
+        assert_eq!(low_ways(0), 0);
+        assert_eq!(low_ways(20), 0xf_ffff);
+        assert_eq!(low_ways(64), u64::MAX);
     }
 }

@@ -34,12 +34,12 @@
 
 use crate::addr::{split_lines, PhysAddr};
 use crate::cache::SetAssocCache;
-use crate::hash::SliceHash;
+use crate::hash::{MachineHash, SliceHash};
 use crate::hierarchy::{Cycles, Machine};
 use crate::machine::{LlcMode, MachineConfig};
 use crate::mem::PhysMem;
 use crate::prefetch::StreamerState;
-use crate::topology::Interconnect;
+use crate::topology::{Interconnect, MachineInterconnect};
 
 /// Timed per-core memory operations — the worker-side subset of
 /// [`Machine`]'s interface, implemented both by `Machine` itself (serial
@@ -213,8 +213,8 @@ impl SharedMem {
 pub struct EpochShard<'a> {
     core: usize,
     cfg: &'a MachineConfig,
-    hash: &'a dyn SliceHash,
-    topo: &'a dyn Interconnect,
+    hash: &'a MachineHash,
+    topo: &'a MachineInterconnect,
     /// Frozen LLC slices: probe-only.
     llc: &'a [SetAssocCache],
     mem: SharedMem,
@@ -239,8 +239,8 @@ impl<'a> EpochShard<'a> {
     pub(crate) fn new(
         core: usize,
         cfg: &'a MachineConfig,
-        hash: &'a dyn SliceHash,
-        topo: &'a dyn Interconnect,
+        hash: &'a MachineHash,
+        topo: &'a MachineInterconnect,
         llc: &'a [SetAssocCache],
         mem: SharedMem,
         l1: &'a mut SetAssocCache,
@@ -379,7 +379,7 @@ impl<'a> EpochShard<'a> {
             return;
         }
         let cands = self.streamer.observe(line, &cfg);
-        for cand in cands {
+        for &cand in cands.iter() {
             if self.l2.probe(cand) {
                 continue;
             }
@@ -420,9 +420,8 @@ impl CoreMem for EpochShard<'_> {
     fn read_bytes(&mut self, core: usize, pa: PhysAddr, buf: &mut [u8]) -> Cycles {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
         let mut total = 0;
-        let pieces: Vec<_> = split_lines(pa, buf.len()).collect();
         let mut off = 0;
-        for (base, in_line, len) in pieces {
+        for (base, in_line, len) in split_lines(pa, buf.len()) {
             let lat = self.walk_read(base.line());
             total += self.charge(lat);
             self.mem
@@ -435,9 +434,8 @@ impl CoreMem for EpochShard<'_> {
     fn write_bytes(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles {
         debug_assert_eq!(core, self.core, "shard asked about a foreign core");
         let mut total = 0;
-        let pieces: Vec<_> = split_lines(pa, data.len()).collect();
         let mut off = 0;
-        for (base, in_line, len) in pieces {
+        for (base, in_line, len) in split_lines(pa, data.len()) {
             let cost = self.walk_write(base.line());
             total += self.charge(cost);
             self.mem
@@ -448,11 +446,8 @@ impl CoreMem for EpochShard<'_> {
     }
 
     fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
-        let lines: Vec<u64> = split_lines(pa, buf.len())
-            .map(|(b, _, _)| b.line())
-            .collect();
-        for line in lines {
-            self.log.push(LlcOp::DmaProbe { line });
+        for (base, _, _) in split_lines(pa, buf.len()) {
+            self.log.push(LlcOp::DmaProbe { line: base.line() });
         }
         self.mem.read(pa, buf);
     }

@@ -47,15 +47,20 @@ pub fn mask_of_bits(bits: &[u32]) -> u64 {
     bits.iter().fold(0u64, |m, &b| m | (1u64 << b))
 }
 
+/// The most output bits (published mask rows) a [`XorSliceHash`] has.
+pub const MAX_OUTPUT_BITS: usize = 3;
+
 /// The reverse-engineered Complex Addressing hash for `2^n`-slice CPUs.
 ///
 /// Output bit `k` is the XOR (parity) of the physical-address bits selected
 /// by `masks[k]`. With 8 slices all three published mask rows are used;
 /// 4-slice parts use the first two and 2-slice parts the first one, exactly
-/// as in Maurice et al.
+/// as in Maurice et al. The masks are stored inline; rows past `bits` are
+/// zero, so their parity adds nothing to the slice index.
 #[derive(Debug, Clone)]
 pub struct XorSliceHash {
-    masks: Vec<u64>,
+    masks: [u64; MAX_OUTPUT_BITS],
+    bits: usize,
 }
 
 impl XorSliceHash {
@@ -67,9 +72,7 @@ impl XorSliceHash {
     pub fn for_slices_pow2(n: u32) -> Self {
         assert!((1..=3).contains(&n), "published masks cover 2..=8 slices");
         let all = [O0_BITS, O1_BITS, O2_BITS];
-        Self {
-            masks: all[..n as usize].iter().map(|b| mask_of_bits(b)).collect(),
-        }
+        Self::from_masks(all[..n as usize].iter().map(|b| mask_of_bits(b)).collect())
     }
 
     /// The 8-slice function of the paper's Xeon E5-2667 v3.
@@ -81,29 +84,40 @@ impl XorSliceHash {
     ///
     /// Used by the reverse-engineering code in the `slice-aware` crate to
     /// compare a reconstructed function against the ground truth.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are 1 to [`MAX_OUTPUT_BITS`] masks.
     pub fn from_masks(masks: Vec<u64>) -> Self {
         assert!(!masks.is_empty(), "need at least one output bit");
-        Self { masks }
+        assert!(
+            masks.len() <= MAX_OUTPUT_BITS,
+            "at most {MAX_OUTPUT_BITS} output bits (8 slices), got {}",
+            masks.len()
+        );
+        let mut inline = [0; MAX_OUTPUT_BITS];
+        inline[..masks.len()].copy_from_slice(&masks);
+        Self {
+            masks: inline,
+            bits: masks.len(),
+        }
     }
 
     /// The per-output-bit XOR masks.
     pub fn masks(&self) -> &[u64] {
-        &self.masks
+        &self.masks[..self.bits]
     }
 }
 
 impl SliceHash for XorSliceHash {
+    #[inline]
     fn slice_of(&self, pa: PhysAddr) -> usize {
-        let mut slice = 0usize;
-        for (k, &mask) in self.masks.iter().enumerate() {
-            let parity = (pa.raw() & mask).count_ones() & 1;
-            slice |= (parity as usize) << k;
-        }
-        slice
+        let parity = |k: usize| ((pa.raw() & self.masks[k]).count_ones() & 1) as usize;
+        parity(0) | parity(1) << 1 | parity(2) << 2
     }
 
     fn slices(&self) -> usize {
-        1 << self.masks.len()
+        1 << self.bits
     }
 }
 
@@ -136,6 +150,7 @@ impl FoldedSliceHash {
 }
 
 impl SliceHash for FoldedSliceHash {
+    #[inline]
     fn slice_of(&self, pa: PhysAddr) -> usize {
         let mut x = pa.line();
         // SplitMix64 finaliser: full-avalanche mix of the line number.
@@ -147,6 +162,33 @@ impl SliceHash for FoldedSliceHash {
 
     fn slices(&self) -> usize {
         self.slices
+    }
+}
+
+/// The hash a [`crate::Machine`] is built with: one of the two concrete
+/// functions, dispatched statically on the per-access path.
+#[derive(Debug, Clone)]
+pub(crate) enum MachineHash {
+    /// [`XorSliceHash`], for `2^n` slices.
+    Xor(XorSliceHash),
+    /// [`FoldedSliceHash`], for other slice counts.
+    Folded(FoldedSliceHash),
+}
+
+impl SliceHash for MachineHash {
+    #[inline]
+    fn slice_of(&self, pa: PhysAddr) -> usize {
+        match self {
+            MachineHash::Xor(h) => h.slice_of(pa),
+            MachineHash::Folded(h) => h.slice_of(pa),
+        }
+    }
+
+    fn slices(&self) -> usize {
+        match self {
+            MachineHash::Xor(h) => h.slices(),
+            MachineHash::Folded(h) => h.slices(),
+        }
     }
 }
 
@@ -208,6 +250,21 @@ mod tests {
     #[should_panic(expected = "published masks")]
     fn rejects_unknown_widths() {
         XorSliceHash::for_slices_pow2(4);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 output bits")]
+    fn from_masks_rejects_more_rows_than_stored_inline() {
+        XorSliceHash::from_masks(vec![1 << 6; 4]);
+    }
+
+    #[test]
+    fn narrow_hashes_use_only_their_rows() {
+        let h = XorSliceHash::for_slices_pow2(2);
+        assert_eq!(h.masks().len(), 2);
+        for i in 0..4096u64 {
+            assert!(h.slice_of(PhysAddr(i * 64)) < 4);
+        }
     }
 
     #[test]

@@ -25,13 +25,13 @@
 //! ways (2 of 20 by default, the 10 % limit of §8).
 
 use crate::addr::{split_lines, PhysAddr};
-use crate::cache::SetAssocCache;
+use crate::cache::{low_ways, SetAssocCache};
 use crate::epoch::{EpochShard, LlcOp, SharedMem};
-use crate::hash::{FoldedSliceHash, SliceHash, XorSliceHash};
+use crate::hash::{FoldedSliceHash, MachineHash, SliceHash, XorSliceHash};
 use crate::machine::{HashConfig, InterconnectConfig, LlcMode, MachineConfig};
 use crate::mem::PhysMem;
 use crate::prefetch::StreamerState;
-use crate::topology::{Interconnect, Mesh, RingBus};
+use crate::topology::{Interconnect, MachineInterconnect, Mesh, RingBus};
 use crate::uncore::Uncore;
 
 /// A duration in core cycles.
@@ -52,8 +52,8 @@ pub struct Machine {
     l1: Vec<SetAssocCache>,
     l2: Vec<SetAssocCache>,
     llc: Vec<SetAssocCache>,
-    hash: Box<dyn SliceHash>,
-    topo: Box<dyn Interconnect>,
+    hash: MachineHash,
+    topo: MachineInterconnect,
     uncore: Uncore,
     mem: PhysMem,
     clock: Vec<u64>,
@@ -73,6 +73,13 @@ impl std::fmt::Debug for Machine {
     }
 }
 
+/// DDIO's way mask: the top `ddio_ways` ways of a `ways`-way slice,
+/// clamped to the slice, and never empty (0 keeps way 0 usable).
+fn ddio_mask(ways: usize, ddio_ways: usize) -> u64 {
+    let dd = ddio_ways.min(ways);
+    (low_ways(ways) & !low_ways(ways - dd)).max(1)
+}
+
 impl Machine {
     /// Builds a machine from a configuration.
     ///
@@ -81,16 +88,16 @@ impl Machine {
     /// Panics when the hash slice count disagrees with `cfg.slices` or the
     /// interconnect dimensions disagree with the core/slice counts.
     pub fn new(cfg: MachineConfig) -> Self {
-        let hash: Box<dyn SliceHash> = match cfg.hash {
-            HashConfig::XorPow2 { bits } => Box::new(XorSliceHash::for_slices_pow2(bits)),
-            HashConfig::Folded { slices } => Box::new(FoldedSliceHash::new(slices)),
+        let hash = match cfg.hash {
+            HashConfig::XorPow2 { bits } => MachineHash::Xor(XorSliceHash::for_slices_pow2(bits)),
+            HashConfig::Folded { slices } => MachineHash::Folded(FoldedSliceHash::new(slices)),
         };
         assert_eq!(hash.slices(), cfg.slices, "hash/slice count mismatch");
-        let topo: Box<dyn Interconnect> = match cfg.interconnect {
+        let topo = match cfg.interconnect {
             InterconnectConfig::Ring { base, hop, cross } => {
-                Box::new(RingBus::new(cfg.cores.max(cfg.slices), base, hop, cross))
+                MachineInterconnect::Ring(RingBus::new(cfg.cores.max(cfg.slices), base, hop, cross))
             }
-            InterconnectConfig::MeshSkylake6134 => Box::new(Mesh::skylake_6134()),
+            InterconnectConfig::MeshSkylake6134 => MachineInterconnect::Mesh(Mesh::skylake_6134()),
         };
         assert!(topo.cores() >= cfg.cores, "interconnect too small (cores)");
         assert_eq!(topo.slices(), cfg.slices, "interconnect/slice mismatch");
@@ -106,10 +113,7 @@ impl Machine {
         let llc = (0..cfg.slices)
             .map(|i| mk(cfg.llc_slice, cfg.seed ^ (0x3000 + i as u64)))
             .collect();
-        // DDIO allocates into the top `ddio_ways` ways of each slice.
-        let w = cfg.llc_slice.ways;
-        let dd = cfg.ddio_ways.min(w);
-        let ddio_mask = (((1u64 << dd) - 1) << (w - dd)).max(1);
+        let ddio_mask = ddio_mask(cfg.llc_slice.ways, cfg.ddio_ways);
         Self {
             uncore: Uncore::new(cfg.slices),
             mem: PhysMem::new(cfg.dram_capacity),
@@ -209,7 +213,7 @@ impl Machine {
     ///
     /// Panics when the mask selects no way of the LLC.
     pub fn set_cat_mask(&mut self, core: usize, mask: u64) {
-        let valid = (1u64 << self.cfg.llc_slice.ways) - 1;
+        let valid = low_ways(self.cfg.llc_slice.ways);
         assert!(mask & valid != 0, "CAT mask selects no LLC way");
         self.cat_mask[core] = mask;
     }
@@ -234,9 +238,7 @@ impl Machine {
     /// config-time clamp). Only *future* DMA placements are affected;
     /// lines already resident stay wherever they are until evicted.
     pub fn set_ddio_ways(&mut self, ways: usize) {
-        let w = self.cfg.llc_slice.ways;
-        let dd = ways.min(w);
-        self.ddio_mask = (((1u64 << dd) - 1) << (w - dd)).max(1);
+        self.ddio_mask = ddio_mask(self.cfg.llc_slice.ways, ways);
     }
 
     /// The number of ways DDIO currently allocates into (the popcount
@@ -316,9 +318,8 @@ impl Machine {
     /// Timed load of `buf.len()` bytes at `pa` into `buf`.
     pub fn read_bytes(&mut self, core: usize, pa: PhysAddr, buf: &mut [u8]) -> Cycles {
         let mut total = 0;
-        let pieces: Vec<_> = split_lines(pa, buf.len()).collect();
         let mut off = 0;
-        for (base, in_line, len) in pieces {
+        for (base, in_line, len) in split_lines(pa, buf.len()) {
             let lat = self.walk_read(core, base.line());
             total += self.charge(core, lat);
             self.mem
@@ -331,9 +332,8 @@ impl Machine {
     /// Timed store of `data` at `pa`.
     pub fn write_bytes(&mut self, core: usize, pa: PhysAddr, data: &[u8]) -> Cycles {
         let mut total = 0;
-        let pieces: Vec<_> = split_lines(pa, data.len()).collect();
         let mut off = 0;
-        for (base, in_line, len) in pieces {
+        for (base, in_line, len) in split_lines(pa, data.len()) {
             let cost = self.walk_write(core, base.line());
             total += self.charge(core, cost);
             self.mem
@@ -388,13 +388,13 @@ impl Machine {
     /// The allocation half of [`Machine::dma_write`] without data movement
     /// (for workloads that only need placement effects).
     pub fn dma_place(&mut self, pa: PhysAddr, len: usize) {
-        let lines: Vec<u64> = split_lines(pa, len).map(|(b, _, _)| b.line()).collect();
-        for line in lines {
+        for (base, _, _) in split_lines(pa, len) {
+            let line = base.line();
             for c in 0..self.cfg.cores {
                 self.l1[c].invalidate(line);
                 self.l2[c].invalidate(line);
             }
-            let s = self.hash.slice_of(PhysAddr(line << 6));
+            let s = self.hash.slice_of(base);
             self.uncore.on_lookup(s);
             let present = self.llc[s].probe(line);
             if !present {
@@ -414,10 +414,8 @@ impl Machine {
     /// Reads served from the LLC when resident (DDIO), otherwise from
     /// DRAM; either way no cache state changes and no core cycles.
     pub fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
-        let len = buf.len();
-        let lines: Vec<u64> = split_lines(pa, len).map(|(b, _, _)| b.line()).collect();
-        for line in lines {
-            let s = self.hash.slice_of(PhysAddr(line << 6));
+        for (base, _, _) in split_lines(pa, buf.len()) {
+            let s = self.hash.slice_of(base);
             self.uncore.on_lookup(s);
         }
         self.mem.read(pa, buf);
@@ -590,8 +588,8 @@ impl Machine {
         }
         let mem = SharedMem::new(&mut self.mem);
         let cfg = &self.cfg;
-        let hash: &dyn SliceHash = &*self.hash;
-        let topo: &dyn Interconnect = &*self.topo;
+        let hash = &self.hash;
+        let topo = &self.topo;
         let llc: &[SetAssocCache] = &self.llc;
         let mut l1: Vec<Option<&mut SetAssocCache>> = self.l1.iter_mut().map(Some).collect();
         let mut l2: Vec<Option<&mut SetAssocCache>> = self.l2.iter_mut().map(Some).collect();
@@ -676,7 +674,7 @@ impl Machine {
             return;
         }
         let cands = self.streamer[core].observe(line, &cfg);
-        for cand in cands {
+        for &cand in cands.iter() {
             if self.l2[core].probe(cand) {
                 continue;
             }

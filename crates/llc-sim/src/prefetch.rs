@@ -61,10 +61,43 @@ pub struct StreamerState {
 /// Lines within one 4 KB page (64 lines of 64 B).
 const LINES_PER_PAGE: u64 = 64;
 
+/// The prefetch candidates of one demand miss, held on the stack.
+///
+/// At most 64: the adjacent-line buddy plus streamed lines, which stay in
+/// the miss's 4 KB page and so number at most 63. Derefs to the
+/// candidates in the order they are prefetched.
+#[derive(Debug, Clone, Copy)]
+pub struct Candidates {
+    lines: [u64; LINES_PER_PAGE as usize],
+    len: usize,
+}
+
+impl Candidates {
+    fn new() -> Self {
+        Self {
+            lines: [0; LINES_PER_PAGE as usize],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, line: u64) {
+        self.lines[self.len] = line;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Candidates {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.lines[..self.len]
+    }
+}
+
 impl StreamerState {
     /// Observes a demand miss on `line`; returns prefetch candidates.
-    pub fn observe(&mut self, line: u64, cfg: &PrefetchConfig) -> Vec<u64> {
-        let mut out = Vec::new();
+    pub fn observe(&mut self, line: u64, cfg: &PrefetchConfig) -> Candidates {
+        let mut out = Candidates::new();
         if cfg.adjacent_line {
             // The buddy line in the same aligned 128 B pair.
             out.push(line ^ 1);
@@ -119,8 +152,8 @@ mod tests {
             stream_depth: 0,
         };
         let mut st = StreamerState::default();
-        assert_eq!(st.observe(10, &cfg), vec![11]);
-        assert_eq!(st.observe(11, &cfg), vec![10]);
+        assert_eq!(*st.observe(10, &cfg), [11]);
+        assert_eq!(*st.observe(11, &cfg), [10]);
     }
 
     #[test]
@@ -133,7 +166,7 @@ mod tests {
         let mut st = StreamerState::default();
         assert!(st.observe(100, &cfg).is_empty(), "first touch: no stride");
         assert!(st.observe(101, &cfg).is_empty(), "stride seen once");
-        assert_eq!(st.observe(102, &cfg), vec![103, 104], "stride confirmed");
+        assert_eq!(*st.observe(102, &cfg), [103, 104], "stride confirmed");
     }
 
     #[test]
@@ -147,7 +180,7 @@ mod tests {
         st.observe(60, &cfg);
         st.observe(61, &cfg);
         let out = st.observe(62, &cfg);
-        assert_eq!(out, vec![63], "lines 64+ are in the next 4 KB page");
+        assert_eq!(*out, [63], "lines 64+ are in the next 4 KB page");
     }
 
     #[test]
@@ -160,7 +193,7 @@ mod tests {
         let mut st = StreamerState::default();
         st.observe(70, &cfg);
         st.observe(69, &cfg);
-        assert_eq!(st.observe(68, &cfg), vec![67]);
+        assert_eq!(*st.observe(68, &cfg), [67]);
     }
 
     #[test]
@@ -175,5 +208,23 @@ mod tests {
             streamed += out.len().saturating_sub(1);
         }
         assert_eq!(streamed, 0);
+    }
+
+    #[test]
+    fn deepest_stream_fits_the_candidate_buffer() {
+        let cfg = PrefetchConfig {
+            adjacent_line: true,
+            streamer: true,
+            stream_depth: u8::MAX,
+        };
+        // A confirmed ascending stride landing on a page's first line
+        // streams the other 63 lines of that page, plus the buddy.
+        let mut st = StreamerState::default();
+        st.observe(62, &cfg);
+        st.observe(63, &cfg);
+        let out = st.observe(64, &cfg);
+        assert_eq!(out.len(), 64);
+        assert_eq!(out[0], 65, "the buddy comes first");
+        assert_eq!(out[1..], (65..128).collect::<Vec<u64>>()[..]);
     }
 }

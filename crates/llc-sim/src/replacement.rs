@@ -3,8 +3,17 @@
 //! The paper notes that CPUs use "different variations of LRU" (§2) and our
 //! DESIGN.md calls out replacement as an ablation axis, so the policy is
 //! pluggable per cache: true LRU (default, matches the set-filling
-//! methodology of §2.2), tree-PLRU (closer to real silicon) and seeded
-//! random (worst-case baseline).
+//! methodology of §2.2), tree-PLRU and seeded random (worst-case baseline).
+//!
+//! A policy is a [`ReplacementKind`] plus pure functions over one set's
+//! state words, which live inside the cache's flat array (see
+//! [`crate::cache`]): LRU keeps `ways` last-use stamps followed by the
+//! set's clock; the other policies keep no per-set state.
+//!
+//! Every fill in this model chooses its victim under a way mask (CAT, DDIO,
+//! or all ways), and a tree cannot be restricted to a mask cheaply, so
+//! tree-PLRU draws its masked victim from the cache's seeded RNG exactly
+//! like the random policy; it differs only in requiring `2^k` ways.
 
 use trafficgen::Rng64;
 
@@ -19,244 +28,154 @@ pub enum ReplacementKind {
     Random,
 }
 
-/// Per-set replacement state.
-///
-/// One instance tracks a single cache set of `ways` lines; the cache calls
-/// [`ReplacementState::touch`] on every hit/fill and
-/// [`ReplacementState::victim`] when it needs to evict.
-#[derive(Debug, Clone)]
-pub enum ReplacementState {
-    /// LRU: per-way last-use stamps (monotone counter).
-    Lru { stamps: Vec<u64>, clock: u64 },
-    /// Tree-PLRU: one bit per internal node of a complete binary tree.
-    TreePlru { bits: u64, ways: usize },
-    /// Random: shared per-cache RNG lives in the cache; here only the way
-    /// count is needed.
-    Random { ways: usize },
-}
-
-impl ReplacementState {
-    /// Fresh state for a set with `ways` lines.
+impl ReplacementKind {
+    /// Checks that a set of `ways` lines can use this policy.
     ///
     /// # Panics
     ///
-    /// Panics if `ways == 0`, or for [`ReplacementKind::TreePlru`] when
-    /// `ways` is not a power of two (the tree needs a complete shape).
-    pub fn new(kind: ReplacementKind, ways: usize) -> Self {
-        assert!(ways > 0, "need at least one way");
-        match kind {
-            ReplacementKind::Lru => ReplacementState::Lru {
-                stamps: vec![0; ways],
-                clock: 0,
-            },
-            ReplacementKind::TreePlru => {
-                assert!(ways.is_power_of_two(), "tree-PLRU needs 2^k ways");
-                ReplacementState::TreePlru { bits: 0, ways }
-            }
-            ReplacementKind::Random => ReplacementState::Random { ways },
+    /// Panics for [`ReplacementKind::TreePlru`] when `ways` is not a power
+    /// of two (the tree needs a complete shape).
+    pub(crate) fn check_ways(self, ways: usize) {
+        if self == ReplacementKind::TreePlru {
+            assert!(ways.is_power_of_two(), "tree-PLRU needs 2^k ways");
         }
     }
 
-    /// Records a use of `way` (hit or fill).
-    pub fn touch(&mut self, way: usize) {
+    /// Number of state words one set of `ways` lines needs.
+    pub(crate) fn state_words(self, ways: usize) -> usize {
         match self {
-            ReplacementState::Lru { stamps, clock } => {
-                *clock += 1;
-                stamps[way] = *clock;
-            }
-            ReplacementState::TreePlru { bits, ways } => {
-                // Walk root→leaf; at each node point the bit *away* from the
-                // taken direction so the victim walk avoids this way.
-                let mut node = 0usize;
-                let mut lo = 0usize;
-                let mut hi = *ways;
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    let right = way >= mid;
-                    if right {
-                        *bits &= !(1u64 << node);
-                        lo = mid;
-                        node = 2 * node + 2;
-                    } else {
-                        *bits |= 1u64 << node;
-                        hi = mid;
-                        node = 2 * node + 1;
-                    }
-                }
-            }
-            ReplacementState::Random { .. } => {}
+            ReplacementKind::Lru => ways + 1,
+            ReplacementKind::TreePlru | ReplacementKind::Random => 0,
         }
     }
 
-    /// Chooses the way to evict. `rng` is used only by the random policy.
-    pub fn victim(&self, rng: &mut Rng64) -> usize {
-        match self {
-            ReplacementState::Lru { stamps, .. } => {
-                let mut best = 0;
-                for (i, &s) in stamps.iter().enumerate() {
-                    if s < stamps[best] {
-                        best = i;
-                    }
-                }
-                best
-            }
-            ReplacementState::TreePlru { bits, ways } => {
-                // Follow the pointed-to (least recently favoured) direction.
-                let mut node = 0usize;
-                let mut lo = 0usize;
-                let mut hi = *ways;
-                while hi - lo > 1 {
-                    let mid = (lo + hi) / 2;
-                    let right = (*bits >> node) & 1 == 1;
-                    if right {
-                        lo = mid;
-                        node = 2 * node + 2;
-                    } else {
-                        hi = mid;
-                        node = 2 * node + 1;
-                    }
-                }
-                lo
-            }
-            ReplacementState::Random { ways } => rng.gen_range(0..*ways),
+    /// Records a use of `way` (hit or fill) in one set's `state`.
+    #[inline]
+    pub(crate) fn touch(self, state: &mut [u64], way: usize) {
+        if self == ReplacementKind::Lru {
+            let (stamps, clock) = state.split_at_mut(state.len() - 1);
+            clock[0] += 1;
+            stamps[way] = clock[0];
         }
     }
 
     /// Chooses the victim among the ways allowed by `mask` (bit `i` set ⇒
-    /// way `i` allowed). Used for CAT way partitioning and DDIO's limited
-    /// I/O ways (paper §7, §8).
+    /// way `i` allowed, every allowed way valid). Used for CAT way
+    /// partitioning and DDIO's limited I/O ways (paper §7, §8).
+    ///
+    /// LRU takes the smallest stamp, ties to the lowest way. The other
+    /// policies draw `k` from `0..popcount(mask)` and take the `k`-th
+    /// allowed way in ascending order; `rng` is used only by them.
     ///
     /// # Panics
     ///
     /// Panics when `mask` allows no way.
-    pub fn victim_masked(&self, rng: &mut Rng64, mask: u64) -> usize {
+    #[inline]
+    pub(crate) fn victim_masked(self, state: &[u64], rng: &mut Rng64, mask: u64) -> usize {
         assert!(mask != 0, "way mask allows no victim");
         match self {
-            ReplacementState::Lru { stamps, .. } => {
-                let mut best: Option<usize> = None;
-                for (i, &s) in stamps.iter().enumerate() {
-                    if mask & (1u64 << i) == 0 {
-                        continue;
+            ReplacementKind::Lru => {
+                let mut rest = mask;
+                let mut best = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                while rest != 0 {
+                    let w = rest.trailing_zeros() as usize;
+                    if state[w] < state[best] {
+                        best = w;
                     }
-                    if best.is_none_or(|b| s < stamps[b]) {
-                        best = Some(i);
-                    }
+                    rest &= rest - 1;
                 }
-                best.expect("mask selects at least one existing way")
+                best
             }
-            ReplacementState::TreePlru { ways, .. } | ReplacementState::Random { ways } => {
-                // Among allowed ways pick pseudo-randomly / via RNG: the
-                // tree path cannot be restricted cheaply, and silicon PLRU
-                // with way masks behaves similarly.
-                let allowed: Vec<usize> = (0..*ways).filter(|i| mask & (1u64 << i) != 0).collect();
-                assert!(
-                    !allowed.is_empty(),
-                    "mask selects at least one existing way"
-                );
-                allowed[rng.gen_range(0..allowed.len())]
+            ReplacementKind::TreePlru | ReplacementKind::Random => {
+                let mut rest = mask;
+                for _ in 0..rng.gen_range(0..mask.count_ones() as usize) {
+                    rest &= rest - 1;
+                }
+                rest.trailing_zeros() as usize
             }
         }
-    }
-
-    /// Deterministic RNG used by caches for the random policy.
-    pub fn make_rng(seed: u64) -> Rng64 {
-        Rng64::seed_from_u64(seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ReplacementKind::{Lru, Random, TreePlru};
 
     fn rng() -> Rng64 {
-        ReplacementState::make_rng(7)
+        Rng64::seed_from_u64(7)
+    }
+
+    fn fresh(kind: ReplacementKind, ways: usize) -> Vec<u64> {
+        vec![0; kind.state_words(ways)]
     }
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut s = ReplacementState::new(ReplacementKind::Lru, 4);
+        let mut s = fresh(Lru, 4);
         for w in 0..4 {
-            s.touch(w);
+            Lru.touch(&mut s, w);
         }
-        s.touch(0);
-        s.touch(2);
-        assert_eq!(s.victim(&mut rng()), 1);
+        Lru.touch(&mut s, 0);
+        Lru.touch(&mut s, 2);
+        assert_eq!(Lru.victim_masked(&s, &mut rng(), 0b1111), 1);
     }
 
     #[test]
     fn lru_untouched_way_is_first_victim() {
-        let mut s = ReplacementState::new(ReplacementKind::Lru, 4);
-        s.touch(1);
-        s.touch(2);
-        s.touch(3);
-        assert_eq!(s.victim(&mut rng()), 0);
+        let mut s = fresh(Lru, 4);
+        for w in 1..4 {
+            Lru.touch(&mut s, w);
+        }
+        assert_eq!(Lru.victim_masked(&s, &mut rng(), 0b1111), 0);
     }
 
     #[test]
     fn lru_masked_respects_mask() {
-        let mut s = ReplacementState::new(ReplacementKind::Lru, 4);
+        let mut s = fresh(Lru, 4);
         for w in 0..4 {
-            s.touch(w);
+            Lru.touch(&mut s, w);
         }
         // Way 0 is the true LRU but the mask excludes it.
-        assert_eq!(s.victim_masked(&mut rng(), 0b1110), 1);
-        assert_eq!(s.victim_masked(&mut rng(), 0b1000), 3);
+        assert_eq!(Lru.victim_masked(&s, &mut rng(), 0b1110), 1);
+        assert_eq!(Lru.victim_masked(&s, &mut rng(), 0b1000), 3);
     }
 
     #[test]
     #[should_panic(expected = "allows no victim")]
     fn masked_rejects_empty_mask() {
-        let s = ReplacementState::new(ReplacementKind::Lru, 4);
-        s.victim_masked(&mut rng(), 0);
-    }
-
-    #[test]
-    fn plru_victim_avoids_recent_touch() {
-        let mut s = ReplacementState::new(ReplacementKind::TreePlru, 8);
-        let v1 = s.victim(&mut rng());
-        s.touch(v1);
-        let v2 = s.victim(&mut rng());
-        assert_ne!(v1, v2, "just-touched way must not be the next victim");
-    }
-
-    #[test]
-    fn plru_cycles_through_all_ways() {
-        let mut s = ReplacementState::new(ReplacementKind::TreePlru, 4);
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..4 {
-            let v = s.victim(&mut rng());
-            seen.insert(v);
-            s.touch(v);
-        }
-        assert_eq!(seen.len(), 4, "PLRU visits every way under pressure");
+        let s = fresh(Lru, 4);
+        Lru.victim_masked(&s, &mut rng(), 0);
     }
 
     #[test]
     #[should_panic(expected = "2^k ways")]
     fn plru_rejects_non_pow2() {
-        ReplacementState::new(ReplacementKind::TreePlru, 20);
+        TreePlru.check_ways(20);
     }
 
     #[test]
     fn random_is_deterministic_per_seed() {
-        let s = ReplacementState::new(ReplacementKind::Random, 16);
-        let a: Vec<usize> = {
-            let mut r = ReplacementState::make_rng(42);
-            (0..8).map(|_| s.victim(&mut r)).collect()
+        let draw = || {
+            let mut r = Rng64::seed_from_u64(42);
+            (0..8)
+                .map(|_| Random.victim_masked(&[], &mut r, u64::MAX))
+                .collect::<Vec<_>>()
         };
-        let b: Vec<usize> = {
-            let mut r = ReplacementState::make_rng(42);
-            (0..8).map(|_| s.victim(&mut r)).collect()
-        };
-        assert_eq!(a, b);
+        assert_eq!(draw(), draw());
     }
 
     #[test]
-    fn random_within_bounds() {
-        let s = ReplacementState::new(ReplacementKind::Random, 3);
+    fn random_picks_only_allowed_ways() {
         let mut r = rng();
-        for _ in 0..100 {
-            assert!(s.victim(&mut r) < 3);
+        let mask = 0b1010_0100u64;
+        let mut seen = 0u64;
+        for _ in 0..200 {
+            let w = Random.victim_masked(&[], &mut r, mask);
+            assert!(mask & (1 << w) != 0, "way {w} outside the mask");
+            seen |= 1 << w;
         }
+        assert_eq!(seen, mask, "every allowed way is eventually drawn");
     }
 }

@@ -89,6 +89,7 @@ impl RingBus {
 }
 
 impl Interconnect for RingBus {
+    #[inline]
     fn llc_latency(&self, core: usize, slice: usize) -> u32 {
         assert!(core < self.nodes && slice < self.nodes, "node out of range");
         // Position of the slice relative to the requesting core.
@@ -176,6 +177,7 @@ impl Mesh {
 }
 
 impl Interconnect for Mesh {
+    #[inline]
     fn llc_latency(&self, core: usize, slice: usize) -> u32 {
         self.base + self.hop * u32::from(self.hops[core][slice])
     }
@@ -186,6 +188,40 @@ impl Interconnect for Mesh {
 
     fn slices(&self) -> usize {
         self.slices
+    }
+}
+
+/// The interconnect a [`crate::Machine`] is built with: one of the two
+/// concrete floorplans, dispatched statically on the per-access path.
+#[derive(Debug, Clone)]
+pub(crate) enum MachineInterconnect {
+    /// [`RingBus`] (Haswell).
+    Ring(RingBus),
+    /// [`Mesh`] (Skylake-SP).
+    Mesh(Mesh),
+}
+
+impl Interconnect for MachineInterconnect {
+    #[inline]
+    fn llc_latency(&self, core: usize, slice: usize) -> u32 {
+        match self {
+            MachineInterconnect::Ring(t) => t.llc_latency(core, slice),
+            MachineInterconnect::Mesh(t) => t.llc_latency(core, slice),
+        }
+    }
+
+    fn cores(&self) -> usize {
+        match self {
+            MachineInterconnect::Ring(t) => t.cores(),
+            MachineInterconnect::Mesh(t) => t.cores(),
+        }
+    }
+
+    fn slices(&self) -> usize {
+        match self {
+            MachineInterconnect::Ring(t) => t.slices(),
+            MachineInterconnect::Mesh(t) => t.slices(),
+        }
     }
 }
 

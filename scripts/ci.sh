@@ -2,7 +2,8 @@
 # Offline CI gate for the workspace. Everything here runs without
 # network access: no crates.io dependencies, no rustup downloads.
 #
-#   scripts/ci.sh         # fmt + clippy + tests (debug) + determinism
+#   scripts/ci.sh         # fmt + clippy + tests (debug) + perfbench
+#                         # self-tests + determinism
 #   scripts/ci.sh full    # ...plus release build, bench-harness check,
 #                         # and a --smoke run of every figure binary
 #                         # (serial AND --parallel)
@@ -127,6 +128,12 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 
 echo "==> tests (whole workspace)"
 cargo test --workspace -q
+
+# perfbench/ is its own package outside the workspace, so the line above
+# never runs its self-tests (metric names vs BENCHMARK.json, wrapper
+# bit-exactness, clock read-cost subtraction). Same target dir as run.py.
+echo "==> perfbench self-tests"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 det
 
