@@ -9,7 +9,6 @@ use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().collect();
-    let parallel = args.iter().any(|a| a == "--parallel");
     let default_packets = if args.iter().any(|a| a == "--smoke") {
         2_000
     } else {
@@ -46,7 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let mut cfg = RunConfig::paper_defaults(chain, steering, headroom);
             cfg.framework_cycles = fw;
             cfg.nic_rate_mpps = Some(cap);
-            cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
             let mut trace =
                 CampusTrace::new(SizeMix::campus(), 10_000, 42).with_flow_skew(skew, 42);
             // Mean campus frame ≈ 670 B.

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("compromise slice", PipelineHeadroom::Compromise),
     ] {
         let r = run_pipeline(
-            &PipelineConfig::new(headroom).with_execution(scale.execution(2)),
+            &PipelineConfig::new(headroom),
             256,
             2_000_000.0,
             scale.packets,

@@ -6,7 +6,6 @@
 //! here is 2^21 (128 MB — still 6.4x the LLC, preserving the hit-rate
 //! structure); pass a third argument `24` to run the full-size store.
 
-use engine::Execution;
 use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig};
 use kvs::store::{KvStore, Placement};
@@ -36,7 +35,6 @@ fn run_config(
     get_permille: u32,
     requests: usize,
     cores: usize,
-    execution: Execution,
     scramble: bool,
     migration: MigrationMode,
     churn: Option<&PhaseSchedule>,
@@ -88,9 +86,7 @@ fn run_config(
             .collect();
     }
     let mut policy = FixedHeadroom(128);
-    let mut cfg = ServerConfig::fig8(requests, get_permille, 1)
-        .with_cores(cores)
-        .with_execution(execution);
+    let mut cfg = ServerConfig::fig8(requests, get_permille, 1).with_cores(cores);
     cfg.scheduler = bench::scheduler_from_args();
     cfg.migration = migration;
     // Warm-up pass (the paper averages many runs on a hot server). With
@@ -145,7 +141,6 @@ fn run_migration_study(
     epoch: usize,
     requests: usize,
     cores: usize,
-    execution: Execution,
 ) -> Result<(), Box<dyn std::error::Error>> {
     // Hot pool per core: the §3 half-slice rule of thumb, capped at an
     // eighth of the core's key class so the hot area stays selective at
@@ -195,7 +190,6 @@ fn run_migration_study(
             950,
             requests,
             cores,
-            execution,
             true,
             migration,
             None,
@@ -249,7 +243,6 @@ fn run_churn_study(
     epoch: usize,
     requests: usize,
     cores: usize,
-    execution: Execution,
 ) -> Result<(), Box<dyn std::error::Error>> {
     let class_len = n_values / cores;
     let hot_per_core = (20_000 / cores).min(class_len / 8).max(1);
@@ -299,7 +292,6 @@ fn run_churn_study(
             950,
             requests,
             cores,
-            execution,
             true,
             migration,
             Some(&schedule),
@@ -351,41 +343,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(default_log2);
     let n_values = 1usize << log2_n;
     let cores: usize = flag(&args, "--cores=").unwrap_or(1);
-    let execution = scale.execution(cores);
     let zipf: f64 = flag(&args, "--zipf=").unwrap_or(0.99);
     if args
         .iter()
         .any(|a| a == "--churn" || a.starts_with("--churn="))
     {
         let epoch = flag::<usize>(&args, "--churn=").unwrap_or(4096);
-        let res = run_churn_study(
-            n_values,
-            log2_n,
-            zipf,
-            epoch,
-            scale.packets,
-            cores,
-            execution,
-        );
+        let res = run_churn_study(n_values, log2_n, zipf, epoch, scale.packets, cores);
         bench::eprint_sched_totals("fig08_kvs");
         return res;
     }
     if let Some(epoch) = flag::<usize>(&args, "--migrate=") {
-        let res = run_migration_study(
-            n_values,
-            log2_n,
-            zipf,
-            epoch,
-            scale.packets,
-            cores,
-            execution,
-        );
+        let res = run_migration_study(n_values, log2_n, zipf, epoch, scale.packets, cores);
         bench::eprint_sched_totals("fig08_kvs");
         return res;
     }
-    // NOTE: --parallel deliberately does not change this banner — the
-    // golden-figure regression diffs serial and parallel stdout against
-    // the same snapshot (bit-identical output is the contract).
     println!(
         "Fig. 8 — emulated KVS, {cores} core(s), 2^{log2_n} x 64 B values, {} requests/point\n",
         scale.packets
@@ -421,7 +393,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 permille,
                 scale.packets,
                 cores,
-                execution,
                 false,
                 MigrationMode::Off,
                 None,

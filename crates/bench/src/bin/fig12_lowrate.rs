@@ -12,13 +12,11 @@ fn percentile_rows(
     headroom: HeadroomMode,
     runs: usize,
     packets: usize,
-    parallel: bool,
 ) -> Result<[f64; 5], Box<dyn std::error::Error>> {
     let mut rows = Vec::with_capacity(runs);
     for run in 0..runs {
         let mut cfg = RunConfig::paper_defaults(ChainSpec::MacSwap, SteeringKind::Rss, headroom);
         cfg.seed ^= run as u64;
-        cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
         let mut trace = CampusTrace::fixed_size(64, 1024, 100 + run as u64);
         let mut sched = ArrivalSchedule::constant_pps(1000.0);
         let res = run_experiment(cfg, &mut trace, &mut sched, packets)?;
@@ -33,19 +31,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Fig. 12 — 64 B @ 1000 pps, {} packets, median of {} runs (DuT latency, ns)\n",
         scale.packets, scale.runs
     );
-    let stock = percentile_rows(
-        HeadroomMode::Stock,
-        scale.runs,
-        scale.packets,
-        scale.parallel,
-    )?;
+    let stock = percentile_rows(HeadroomMode::Stock, scale.runs, scale.packets)?;
     let cd = percentile_rows(
         HeadroomMode::CacheDirector {
             preferred_slices: 1,
         },
         scale.runs,
         scale.packets,
-        scale.parallel,
     )?;
     let mut t = Table::new([
         "Percentile",

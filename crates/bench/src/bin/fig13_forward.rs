@@ -8,15 +8,9 @@ use nfv::runtime::{
 use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 use xstats::report::{f, Table};
 
-fn one(
-    headroom: HeadroomMode,
-    run: u64,
-    packets: usize,
-    parallel: bool,
-) -> Result<RunResult, SetupError> {
+fn one(headroom: HeadroomMode, run: u64, packets: usize) -> Result<RunResult, SetupError> {
     let mut cfg = RunConfig::paper_defaults(ChainSpec::MacSwap, SteeringKind::Rss, headroom);
     cfg.seed ^= run;
-    cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
     let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42 + run);
     let mut sched = ArrivalSchedule::constant_gbps(100.0, 670.0);
     run_experiment(cfg, &mut trace, &mut sched, packets)
@@ -33,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tput_stock = Vec::new();
     let mut tput_cd = Vec::new();
     for run in 0..scale.runs as u64 {
-        let s = one(HeadroomMode::Stock, run, scale.packets, scale.parallel)?;
+        let s = one(HeadroomMode::Stock, run, scale.packets)?;
         rows_stock.push(s.summary().ok_or("no latencies recorded")?.paper_row());
         tput_stock.push(s.achieved_gbps);
         let c = one(
@@ -42,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             },
             run,
             scale.packets,
-            scale.parallel,
         )?;
         rows_cd.push(c.summary().ok_or("no latencies recorded")?.paper_row());
         tput_cd.push(c.achieved_gbps);

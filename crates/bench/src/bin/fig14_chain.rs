@@ -10,12 +10,7 @@ use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 use xstats::report::{f, Table};
 use xstats::Cdf;
 
-fn one(
-    headroom: HeadroomMode,
-    run: u64,
-    packets: usize,
-    parallel: bool,
-) -> Result<RunResult, SetupError> {
+fn one(headroom: HeadroomMode, run: u64, packets: usize) -> Result<RunResult, SetupError> {
     let mut cfg = RunConfig::paper_defaults(
         ChainSpec::RouterNaptLb {
             routes: 3120,
@@ -25,7 +20,6 @@ fn one(
         headroom,
     );
     cfg.seed ^= run;
-    cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
     let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42 + run);
     let mut sched = ArrivalSchedule::constant_gbps(100.0, 670.0);
     run_experiment(cfg, &mut trace, &mut sched, packets)
@@ -43,14 +37,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut tput = (Vec::new(), Vec::new());
     let mut last: Option<(RunResult, RunResult)> = None;
     for run in 0..scale.runs as u64 {
-        let s = one(HeadroomMode::Stock, run, scale.packets, scale.parallel)?;
+        let s = one(HeadroomMode::Stock, run, scale.packets)?;
         let c = one(
             HeadroomMode::CacheDirector {
                 preferred_slices: 1,
             },
             run,
             scale.packets,
-            scale.parallel,
         )?;
         rows_stock.push(s.summary().ok_or("no latencies recorded")?.paper_row());
         rows_cd.push(c.summary().ok_or("no latencies recorded")?.paper_row());

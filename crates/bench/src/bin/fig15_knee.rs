@@ -29,7 +29,6 @@ type KneePoint = (f64, f64, f64);
 fn sweep(
     headroom: HeadroomMode,
     packets: usize,
-    parallel: bool,
 ) -> Result<Vec<KneePoint>, Box<dyn std::error::Error>> {
     let mut out = Vec::with_capacity(RATES.len());
     for &gbps in RATES {
@@ -42,7 +41,6 @@ fn sweep(
             headroom,
         );
         cfg.loopback_ns = loopback_ns(gbps);
-        cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
         let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42);
         let mut sched = ArrivalSchedule::constant_gbps(gbps, 670.0);
         let res = run_experiment(cfg, &mut trace, &mut sched, packets)?;
@@ -58,13 +56,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "Fig. 15 — p99 latency (incl. loopback) vs achieved throughput, {} pkts/point\n",
         scale.packets
     );
-    let stock = sweep(HeadroomMode::Stock, scale.packets, scale.parallel)?;
+    let stock = sweep(HeadroomMode::Stock, scale.packets)?;
     let cd = sweep(
         HeadroomMode::CacheDirector {
             preferred_slices: 1,
         },
         scale.packets,
-        scale.parallel,
     )?;
     let mut t = Table::new([
         "Offered (Gbps)",

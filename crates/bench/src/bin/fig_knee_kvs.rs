@@ -143,14 +143,13 @@ fn goodput_mops(rep: &OpenLoopReport) -> f64 {
     }
 }
 
-fn sweep(mode: Mode, ops: usize, parallel: bool) -> Vec<(f64, OpenLoopReport)> {
+fn sweep(mode: Mode, ops: usize) -> Vec<(f64, OpenLoopReport)> {
     RATES
         .iter()
         .map(|&rate| {
             let cfg = mode
                 .apply(OpenLoopConfig::new(ops, 42).with_cores(CORES))
-                .with_deadline(DEADLINE_NS)
-                .with_execution(engine::Execution::from_flag(parallel, CORES));
+                .with_deadline(DEADLINE_NS);
             let mut arr = OpenLoopGen::constant(rate);
             (rate, run_one(&cfg, &mut arr))
         })
@@ -201,7 +200,7 @@ fn knee_stats(rows: &[(f64, OpenLoopReport)]) -> (f64, f64) {
     (peak, last)
 }
 
-fn run_sweep(ops: usize, parallel: bool) {
+fn run_sweep(ops: usize) {
     println!(
         "Open-loop KVS knee — {CORES} cores, {} logical ops/point, \
          deadline {:.0} us, shed backlog {SHED_BACKLOG}\n",
@@ -210,7 +209,7 @@ fn run_sweep(ops: usize, parallel: bool) {
     );
     let mut all = Vec::new();
     for mode in [Mode::NoControl, Mode::Shedding, Mode::ShedRetry] {
-        let rows = sweep(mode, ops, parallel);
+        let rows = sweep(mode, ops);
         print_mode_table(mode, &rows);
         all.push((mode, rows));
     }
@@ -238,7 +237,7 @@ fn run_sweep(ops: usize, parallel: bool) {
 /// arrivals actually end at E = T − 3 × flash_len = 0.7T; goodput is
 /// bucketed over [0, E) so every fault window — and a clean recovery
 /// window after the last one — sees arrival traffic.
-fn run_chaos(ops: usize, parallel: bool) {
+fn run_chaos(ops: usize) {
     let base_rate = 20e6; // ~65 % of 2-core capacity.
     let horizon_ns = ops as f64 / base_rate * 1e9;
     let flash = (0.20 * horizon_ns, 0.30 * horizon_ns);
@@ -278,8 +277,7 @@ fn run_chaos(ops: usize, parallel: bool) {
         let mut cfg = OpenLoopConfig::new(ops, 42)
             .with_cores(CORES)
             .with_deadline(deadline_ns)
-            .with_faults(faults.clone())
-            .with_execution(engine::Execution::from_flag(parallel, CORES));
+            .with_faults(faults.clone());
         cfg = match mode {
             Mode::NoControl => cfg.with_retries(timeout_ns, 1),
             _ => cfg
@@ -361,9 +359,9 @@ fn main() {
     // Chaos needs a longer horizon than the sweep's per-point budget so
     // the fault windows are wide relative to queue drain times.
     if chaos {
-        run_chaos(scale.packets.max(4_000), scale.parallel);
+        run_chaos(scale.packets.max(4_000));
     } else {
-        run_sweep(scale.packets, scale.parallel);
+        run_sweep(scale.packets);
     }
     bench::eprint_sched_totals("fig_knee_kvs");
 }

@@ -28,12 +28,11 @@
 //!    across both placements.
 //!
 //! Scale: `fig_scale_kvs [runs] [ops] [log2_keys] [--cores=N]
-//! [--rate=OPS_PER_S] [--smoke] [--parallel] [--scheduler=...]`.
+//! [--rate=OPS_PER_S] [--smoke] [--scheduler=...]`.
 //! Default full scale is 2^21 keys x 10^6 ops; `--smoke` shrinks to
-//! 2^14 x 2000 for CI. Output is bit-identical across
-//! {serial, parallel} x {event-driven, reference-tick}.
+//! 2^14 x 2000 for CI. Output is bit-identical across the event-driven
+//! and reference-tick schedulers.
 
-use engine::Execution;
 use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig};
 use kvs::store::{KvStore, Placement};
@@ -95,7 +94,6 @@ fn run_closed(
     n_values: usize,
     cores: usize,
     requests: usize,
-    execution: Execution,
     migration: MigrationMode,
 ) -> Result<kvs::ServerReport, Box<dyn std::error::Error>> {
     let (mut m, region_bytes) = scale_machine(n_values * 64);
@@ -124,9 +122,7 @@ fn run_closed(
         })
         .collect();
     let mut policy = FixedHeadroom(128);
-    let mut cfg = ServerConfig::fig8(requests, 950, 1)
-        .with_cores(cores)
-        .with_execution(execution);
+    let mut cfg = ServerConfig::fig8(requests, 950, 1).with_cores(cores);
     cfg.scheduler = bench::scheduler_from_args();
     cfg.migration = migration;
     let warm = ServerConfig {
@@ -157,7 +153,6 @@ fn closed_section(
     n_values: usize,
     cores: usize,
     requests: usize,
-    execution: Execution,
     epoch: usize,
 ) -> Result<(), Box<dyn std::error::Error>> {
     // The migrator needs epoch boundaries to act on; guarantee a few
@@ -182,7 +177,7 @@ fn closed_section(
         ("StripedHot (static)", MigrationMode::Off),
         ("StripedHot+cost-aware", MigrationMode::CostAware { epoch }),
     ] {
-        let rep = run_closed(n_values, cores, requests, execution, migration)?;
+        let rep = run_closed(n_values, cores, requests, migration)?;
         t.row([
             label.to_string(),
             f(rep.hot_hit_rate() * 100.0, 1),
@@ -248,9 +243,8 @@ impl CompletionSink for SketchSink {
 }
 
 /// Open-loop config shared by every drive row and the differential run.
-fn open_cfg(ops: usize, cores: usize, execution: Execution) -> OpenLoopConfig {
+fn open_cfg(ops: usize, cores: usize) -> OpenLoopConfig {
     let mut cfg = OpenLoopConfig::new(ops, 42).with_cores(cores);
-    cfg.execution = execution;
     cfg.scheduler = bench::scheduler_from_args();
     cfg
 }
@@ -310,7 +304,7 @@ fn replay_from_recorded_poisson(ops: usize, rate: f64) -> TraceReplay {
     TraceReplay::new(&read_trace_timed_bytes(&buf).expect("own trace reads back"))
 }
 
-fn open_section(n_values: usize, ops: usize, cores: usize, rate: f64, execution: Execution) {
+fn open_section(n_values: usize, ops: usize, cores: usize, rate: f64) {
     println!(
         "Open loop — StripedHot, {ops} ops at {:.1} Mops/s over {cores} queues, \
          streamed into per-queue LogHist(alpha={ALPHA}):\n",
@@ -328,7 +322,7 @@ fn open_section(n_values: usize, ops: usize, cores: usize, rate: f64, execution:
     let mut per_queue_lines = Vec::new();
     let mut sketch_note = None;
     for drive in ["poisson", "trace-replay(v2)"] {
-        let cfg = open_cfg(ops, cores, execution);
+        let cfg = open_cfg(ops, cores);
         let mut sink = SketchSink::new(cores);
         let rep = match drive {
             "poisson" => {
@@ -393,14 +387,14 @@ fn open_section(n_values: usize, ops: usize, cores: usize, rate: f64, execution:
 // Section 3: sketch-vs-exact differential on a subsampled run.
 // ---------------------------------------------------------------------
 
-fn differential_section(n_values: usize, ops: usize, cores: usize, rate: f64, exec: Execution) {
+fn differential_section(n_values: usize, ops: usize, cores: usize, rate: f64) {
     let sub = (ops / 8).clamp(500, 50_000);
     println!(
         "Differential — exact vs sketch on a {sub}-op subsample \
          (bound: relative error <= {:.1}%):\n",
         ALPHA * 100.0
     );
-    let cfg = open_cfg(sub, cores, exec);
+    let cfg = open_cfg(sub, cores);
     let (mut m, region_bytes) = scale_machine(n_values * 64);
     let placement = Placement::StripedHot {
         slices: (0..cores).map(|c| m.closest_slice(c)).collect(),
@@ -529,7 +523,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n_values = 1usize << log2_n;
     let cores: usize = flag(&args, "--cores=").unwrap_or(4);
     let rate: f64 = flag(&args, "--rate=").unwrap_or(DEFAULT_RATE);
-    let execution = scale.execution(cores);
     let ops = scale.packets;
     // Smoke shrinks every scale knob; full scale defaults to a few
     // epochs over a million requests and a 32 MB large-value set.
@@ -538,17 +531,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         (4_096, 32_768, 100_000)
     };
-    // NOTE: --parallel and --scheduler deliberately do not change this
-    // banner — the golden regression diffs all four mode combinations
-    // against the same snapshot.
+    // NOTE: --scheduler deliberately does not change this banner — the
+    // golden regression diffs both schedulers against the same snapshot.
     println!(
         "Scale study — multi-queue KVS, {cores} core(s), 2^{log2_n} x 64 B values \
          ({} MB store), {ops} ops/row\n",
         n_values * 64 / (1 << 20)
     );
-    closed_section(n_values, cores, ops, execution, epoch)?;
-    open_section(n_values, ops, cores, rate, execution);
-    differential_section(n_values, ops, cores, rate, execution);
+    closed_section(n_values, cores, ops, epoch)?;
+    open_section(n_values, ops, cores, rate);
+    differential_section(n_values, ops, cores, rate);
     large_section(n_large, 1024, large_draws);
     println!(
         "The report path is O(sketch) at any scale: quantiles stream through \

@@ -15,9 +15,9 @@
 //!   the even split and re-partitioning CAT and DDIO ways from CBo
 //!   counters and windowed p99s.
 //!
-//! Usage: `fig_tenants [runs] [packets] [--smoke] [--parallel]
-//! [--scheduler=reference]`. Output is bit-identical across execution
-//! modes and schedulers (golden-pinned).
+//! Usage: `fig_tenants [runs] [packets] [--smoke]
+//! [--scheduler=reference]`. Output is bit-identical across schedulers
+//! (golden-pinned).
 
 use bench::{eprint_sched_totals, scheduler_from_args, Scale};
 use tenancy::run::{run_tenancy, Regime, TenancyConfig, CONTROL_PERIOD_NS};
@@ -40,7 +40,6 @@ fn main() {
 
     for regime in [Regime::StaticEven, Regime::StaticOracle, Regime::Online] {
         let cfg = TenancyConfig {
-            execution: scale.execution(5),
             scheduler,
             ..TenancyConfig::new(regime, packets)
         };

@@ -15,12 +15,7 @@ use nfv::runtime::{
 use trafficgen::{ArrivalSchedule, CampusTrace, SizeMix};
 use xstats::report::{f, Table};
 
-fn one(
-    headroom: HeadroomMode,
-    run: u64,
-    packets: usize,
-    parallel: bool,
-) -> Result<RunResult, SetupError> {
+fn one(headroom: HeadroomMode, run: u64, packets: usize) -> Result<RunResult, SetupError> {
     let mut cfg = RunConfig::paper_defaults(
         ChainSpec::RouterNaptLb {
             routes: 3120,
@@ -30,7 +25,6 @@ fn one(
         headroom,
     );
     cfg.seed ^= run;
-    cfg.execution = engine::Execution::from_flag(parallel, cfg.cores);
     let m = Machine::new(MachineConfig::skylake_gold_6134().with_seed(cfg.seed));
     let mut tb = Testbed::on_machine(cfg, m)?;
     let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42 + run);
@@ -75,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (name, headroom) in configs {
         let mut per_run = Vec::with_capacity(scale.runs);
         for r in 0..scale.runs as u64 {
-            let res = one(headroom, r, scale.packets, scale.parallel)?;
+            let res = one(headroom, r, scale.packets)?;
             per_run.push(res.summary().ok_or("no latencies recorded")?.paper_row());
         }
         let row = bench::median_rows(&per_run);

@@ -5,21 +5,20 @@
 //! for recorded paper-vs-measured numbers). This module carries the
 //! common bits: scale-argument parsing and median-of-runs aggregation.
 
+#![forbid(unsafe_code)]
+
 use xstats::Summary;
 
 pub mod harness;
 
 /// Experiment scale, from the command line:
-/// `<binary> [runs] [packets] [--smoke] [--parallel]`.
+/// `<binary> [runs] [packets] [--smoke]`.
 ///
 /// Every binary has defaults sized to finish in seconds; passing larger
 /// values tightens the statistics toward the paper's 50-run protocol.
 /// Passing `--smoke` anywhere overrides both with tiny values — the CI
 /// smoke stage uses it to prove every figure binary still runs end to
-/// end without paying for statistics. Passing `--parallel` anywhere
-/// makes the engine-backed experiments execute their workers on OS
-/// threads ([`engine::Execution::Parallel`]); results are bit-identical
-/// to serial by construction, only the wall clock changes.
+/// end without paying for statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Independent repetitions (the paper uses 50).
@@ -29,25 +28,19 @@ pub struct Scale {
     /// `--smoke` was passed: binaries should also shrink any scale
     /// knobs of their own (store sizes, sweep points).
     pub smoke: bool,
-    /// `--parallel` was passed: engine-backed experiments run workers
-    /// on OS threads. Binaries without an engine accept and ignore it.
-    pub parallel: bool,
 }
 
 impl Scale {
     /// Parses `[runs] [packets]` from the process arguments, with the
     /// given defaults. A literal `--smoke` in any position takes
     /// precedence: one run, at most [`Scale::SMOKE_PACKETS`] packets.
-    /// `--parallel` composes with either form.
     pub fn from_args(default_runs: usize, default_packets: usize) -> Self {
         let args: Vec<String> = std::env::args().collect();
-        let parallel = args.iter().any(|a| a == "--parallel");
         if args.iter().any(|a| a == "--smoke") {
             return Self {
                 runs: 1,
                 packets: default_packets.min(Self::SMOKE_PACKETS),
                 smoke: true,
-                parallel,
             };
         }
         let positional: Vec<&String> = args
@@ -65,15 +58,7 @@ impl Scale {
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(default_packets),
             smoke: false,
-            parallel,
         }
-    }
-
-    /// The execution mode this scale selects for an engine with
-    /// `workers` workers: [`engine::Execution::Serial`] by default, one
-    /// OS thread per worker under `--parallel`.
-    pub fn execution(&self, workers: usize) -> engine::Execution {
-        engine::Execution::from_flag(self.parallel, workers)
     }
 
     /// Packets per run under `--smoke`.

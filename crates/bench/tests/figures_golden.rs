@@ -1,18 +1,8 @@
 //! Figure-output regression: every experiment binary's `--smoke` stdout is
-//! diffed byte-for-byte against a committed golden snapshot, in BOTH
-//! execution modes.
-//!
-//! Two properties are pinned at once:
-//!
-//! 1. **Figures don't drift silently.** Any change to engine semantics,
-//!    defaults, or report formatting shows up as a snapshot diff that has
-//!    to be reviewed and re-recorded (`scripts/update_goldens.sh`).
-//! 2. **`--parallel` is invisible in the output.** Serial and parallel
-//!    runs are compared against the *same* snapshot, so threaded
-//!    execution must be bit-identical to serial all the way out to the
-//!    printed report — the user-visible face of the determinism
-//!    guarantee proved structurally in `crates/engine/tests/differential.rs`
-//!    and `tests/determinism.rs`.
+//! diffed byte-for-byte against a committed golden snapshot, so figures
+//! don't drift silently. Any change to engine semantics, defaults, or
+//! report formatting shows up as a snapshot diff that has to be reviewed
+//! and re-recorded (`scripts/update_goldens.sh`).
 //!
 //! Snapshots live in `crates/bench/tests/golden/` and are regenerated
 //! with `scripts/update_goldens.sh` after any intentional output change.
@@ -36,7 +26,7 @@ fn run(exe: &str, args: &[&str]) -> String {
 
 /// Asserts `actual` matches the golden snapshot, with a readable
 /// first-divergence report on failure.
-fn assert_matches_golden(name: &str, mode: &str, golden: &str, actual: &str) {
+fn assert_matches_golden(name: &str, golden: &str, actual: &str) {
     if actual == golden {
         return;
     }
@@ -48,7 +38,7 @@ fn assert_matches_golden(name: &str, mode: &str, golden: &str, actual: &str) {
     let want = golden.lines().nth(diverge).unwrap_or("<eof>");
     let got = actual.lines().nth(diverge).unwrap_or("<eof>");
     panic!(
-        "{name} ({mode}) diverged from golden snapshot at line {}:\n  \
+        "{name} diverged from golden snapshot at line {}:\n  \
          golden: {want}\n  actual: {got}\n\
          If this change is intentional, regenerate with \
          scripts/update_goldens.sh and review the diff.",
@@ -67,15 +57,9 @@ macro_rules! golden_tests {
                 env!(concat!("CARGO_BIN_EXE_", stringify!($bin)));
 
             #[test]
-            fn smoke_serial_matches_golden() {
+            fn smoke_matches_golden() {
                 let out = run(EXE, &["--smoke"]);
-                assert_matches_golden(stringify!($bin), "serial", GOLDEN, &out);
-            }
-
-            #[test]
-            fn smoke_parallel_matches_same_golden() {
-                let out = run(EXE, &["--smoke", "--parallel"]);
-                assert_matches_golden(stringify!($bin), "parallel", GOLDEN, &out);
+                assert_matches_golden(stringify!($bin), GOLDEN, &out);
             }
         }
     )+};
@@ -83,7 +67,7 @@ macro_rules! golden_tests {
 
 /// The fig08_kvs `--migrate` study has its own golden: a different
 /// banner and table from the default run (which keeps its own snapshot
-/// untouched), same bit-identical serial/parallel contract.
+/// untouched).
 mod fig08_kvs_migrate {
     use super::*;
 
@@ -92,22 +76,15 @@ mod fig08_kvs_migrate {
     const ARGS: [&str; 3] = ["--zipf=0.99", "--migrate=4096", "--cores=4"];
 
     #[test]
-    fn smoke_serial_matches_golden() {
+    fn smoke_matches_golden() {
         let out = run(EXE, &[&["--smoke"], &ARGS[..]].concat());
-        assert_matches_golden("fig08_kvs_migrate", "serial", GOLDEN, &out);
-    }
-
-    #[test]
-    fn smoke_parallel_matches_same_golden() {
-        let out = run(EXE, &[&["--smoke", "--parallel"], &ARGS[..]].concat());
-        assert_matches_golden("fig08_kvs_migrate", "parallel", GOLDEN, &out);
+        assert_matches_golden("fig08_kvs_migrate", GOLDEN, &out);
     }
 }
 
 /// The fig08_kvs `--churn` study (cost-aware migration under hot-set
-/// churn) has its own golden, same bit-identical serial/parallel
-/// contract. The snapshot also pins the acceptance shape: zero at-loss
-/// swaps for the cost-aware row.
+/// churn) has its own golden. The snapshot also pins the acceptance
+/// shape: zero at-loss swaps for the cost-aware row.
 mod fig08_kvs_churn {
     use super::*;
 
@@ -116,21 +93,14 @@ mod fig08_kvs_churn {
     const ARGS: [&str; 3] = ["--zipf=0.99", "--churn=4096", "--cores=4"];
 
     #[test]
-    fn smoke_serial_matches_golden() {
+    fn smoke_matches_golden() {
         let out = run(EXE, &[&["--smoke"], &ARGS[..]].concat());
-        assert_matches_golden("fig08_kvs_churn", "serial", GOLDEN, &out);
-    }
-
-    #[test]
-    fn smoke_parallel_matches_same_golden() {
-        let out = run(EXE, &[&["--smoke", "--parallel"], &ARGS[..]].concat());
-        assert_matches_golden("fig08_kvs_churn", "parallel", GOLDEN, &out);
+        assert_matches_golden("fig08_kvs_churn", GOLDEN, &out);
     }
 }
 
 /// The fig_knee_kvs `--chaos` study has its own golden (the overload
-/// sweep keeps the default snapshot), same bit-identical
-/// serial/parallel contract.
+/// sweep keeps the default snapshot).
 mod fig_knee_kvs_chaos {
     use super::*;
 
@@ -139,15 +109,9 @@ mod fig_knee_kvs_chaos {
     const ARGS: [&str; 1] = ["--chaos"];
 
     #[test]
-    fn smoke_serial_matches_golden() {
+    fn smoke_matches_golden() {
         let out = run(EXE, &[&["--smoke"], &ARGS[..]].concat());
-        assert_matches_golden("fig_knee_kvs_chaos", "serial", GOLDEN, &out);
-    }
-
-    #[test]
-    fn smoke_parallel_matches_same_golden() {
-        let out = run(EXE, &[&["--smoke", "--parallel"], &ARGS[..]].concat());
-        assert_matches_golden("fig_knee_kvs_chaos", "parallel", GOLDEN, &out);
+        assert_matches_golden("fig_knee_kvs_chaos", GOLDEN, &out);
     }
 }
 

@@ -26,6 +26,8 @@
 //! (13 lines); [`headroom_distribution`] regenerates that §4.2
 //! distribution for any trace.
 
+#![forbid(unsafe_code)]
+
 pub mod sorted_pools;
 
 use llc_sim::machine::Machine;

@@ -24,7 +24,7 @@
 //!    then timers in op order" rule exactly.
 //! 3. **`seq`** — insertion order (FIFO), so same-`(key, sub)` events
 //!    are stable and the pop order is a pure function of the push
-//!    sequence. Thread scheduling can never reorder it.
+//!    sequence.
 //!
 //! The unit tests below pin this contract.
 

@@ -28,19 +28,15 @@
 //!   "empty-epoch tax" — see `EngineReport::sched`). The tick-stepper
 //!   this replaced is retained as [`Scheduler::ReferenceTick`] and the
 //!   differential suites assert both produce bit-identical reports.
-//! * **Epoch execution, serial or parallel.** Workers advance in
-//!   *epochs*: each active worker runs its polling loop against a
-//!   disjoint machine shard ([`llc_sim::epoch`]) and its own RX-queue
-//!   view, then the coordinator merges cross-worker effects (LLC event
-//!   logs, TX completions, buffer recycling, refills) in canonical
-//!   worker order. [`Execution::Serial`] runs the workers inline;
-//!   [`Execution::Parallel`] runs the *same* epoch algorithm on a
-//!   persistent pool of OS threads (spawned once, dispatched per
-//!   epoch — see `pool.rs`) — results are bit-identical by
-//!   construction because every cross-worker decision is made at the
-//!   worker-ordered merge, never at a thread-scheduling-dependent
-//!   moment. The differential test suite (`tests/differential.rs`)
-//!   keeps that claim honest.
+//! * **Epoch execution.** Workers advance in *epochs*: each active
+//!   worker, in ascending worker order, runs its polling loop directly
+//!   on the [`Machine`] and its RX queue, so it sees every LLC fill an
+//!   earlier worker made in the same epoch. Cross-worker effects on
+//!   buffers (TX commits, recycling, refills) are deferred to a merge
+//!   walk in the same canonical worker order. Everything runs on the
+//!   calling thread, so a run is a pure function of its inputs; the
+//!   differential suite (`tests/differential.rs`) checks run-to-run
+//!   equality and the scheduler equivalence below.
 //! * **Drop accounting.** Per-queue [`NicDrops`] and [`AdmitDrops`]
 //!   ledgers plus a per-queue count of application drops. The engine
 //!   owns the conservation invariant `offered + carried == delivered +
@@ -63,18 +59,18 @@
 //! state (e.g. a KVS store and its LLC contents) reusable across runs,
 //! which Fig. 8's warm-then-measure methodology depends on.
 
+#![forbid(unsafe_code)]
+
 pub mod drops;
 pub mod events;
-mod pool;
 
 pub use drops::{AdmitDrops, NicDrops};
 pub use events::{time_key, time_of_key, DelayedQueue};
 
-use llc_sim::epoch::{CoreMem, EpochShard, LlcOp};
 use llc_sim::machine::Machine;
 use rte::fault::{FaultPlan, FaultState};
 use rte::mempool::MbufPool;
-use rte::nic::{DropReason, HeadroomPolicy, Port, RxCompletion, RxView, TxDesc};
+use rte::nic::{DropReason, HeadroomPolicy, Port, RxCompletion, TxDesc};
 use trafficgen::FlowTuple;
 
 /// A borrowed view of the hardware the engine drives. The engine owns
@@ -115,46 +111,23 @@ impl WorkerSpec {
     }
 }
 
-/// How worker epochs execute: inline on the calling thread, or fanned
-/// out over OS threads. Both modes run the *same* shard/merge algorithm
-/// and produce bit-identical results (see the module docs); `Serial` is
-/// the reference implementation and the default.
+/// How worker epochs execute. There is one mode: workers run in
+/// ascending worker order on the calling thread. The type survives only
+/// as the value of [`EngineConfig::execution`], which existing
+/// struct-literal callers still set; the engine ignores it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Execution {
     /// Workers run inline, in worker order, on the calling thread.
     #[default]
     Serial,
-    /// Workers are distributed round-robin over a persistent pool of
-    /// `threads` OS threads (`threads` is clamped to at least 1; the
-    /// pool is spawned lazily at the first multi-worker epoch). The
-    /// merge is still performed by the calling thread in worker order.
-    Parallel {
-        /// Number of pool worker threads.
-        threads: usize,
-    },
-}
-
-impl Execution {
-    /// `Parallel` with one thread per worker when `parallel` is set,
-    /// else `Serial` — the shape the figure binaries' `--parallel` flag
-    /// wants.
-    pub fn from_flag(parallel: bool, workers: usize) -> Self {
-        if parallel {
-            Execution::Parallel {
-                threads: workers.max(1),
-            }
-        } else {
-            Execution::Serial
-        }
-    }
 }
 
 /// Which scheduler drives [`Engine::run_until`].
 ///
-/// Both schedulers run the *same* epoch algorithm (partition → shard
+/// Both schedulers run the *same* epoch algorithm (partition → worker
 /// polling → worker-ordered merge → epoch hook) whenever an epoch is
 /// dispatched; they differ only in *when* epochs are dispatched. The
-/// differential suite (`tests/reference.rs`) asserts their reports are
+/// differential suite (`tests/differential.rs`) asserts their reports are
 /// bit-identical, field for field, modulo the [`SchedStats`] counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
@@ -175,10 +148,10 @@ pub enum Scheduler {
 }
 
 /// Scheduler observability counters, carried in [`EngineReport`] and
-/// accumulated process-wide (see [`sched_totals`]). Identical across
-/// [`Execution`] modes — dispatch decisions depend only on simulated
-/// state — but *not* across [`Scheduler`] modes, which is their point:
-/// the reference tick-stepper dispatches strictly more epochs.
+/// accumulated process-wide (see [`sched_totals`]). Dispatch decisions
+/// depend only on simulated state, but the counters differ across
+/// [`Scheduler`] modes, which is their point: the reference
+/// tick-stepper dispatches strictly more epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedStats {
     /// Epochs actually dispatched (partition + merge walk + hook).
@@ -321,7 +294,9 @@ pub struct EngineConfig {
     pub burst: usize,
     /// Injected faults.
     pub faults: FaultPlan,
-    /// Serial (reference) or parallel epoch execution.
+    /// Ignored: kept only so struct-literal callers that still name it
+    /// compile. Workers always run in worker order on the calling
+    /// thread.
     pub execution: Execution,
     /// Ingress admission filter (default: accept all).
     pub admission: AdmissionPolicy,
@@ -346,13 +321,12 @@ pub enum Verdict {
     Consumed,
 }
 
-/// Per-poll context handed to the application: the worker's machine
-/// shard plus its identity and the wall-clock anchor of the current
-/// poll iteration.
+/// Per-poll context handed to the application: the machine plus the
+/// worker's identity and the wall-clock anchor of the current poll
+/// iteration.
 pub struct Ctx<'a> {
-    /// The worker's timed-memory view (a per-core machine shard during
-    /// engine epochs; a whole [`Machine`] in direct/unit-test use).
-    pub m: &'a mut (dyn CoreMem + 'a),
+    /// The simulated machine. Timed work goes on [`Ctx::core`].
+    pub m: &'a mut Machine,
     /// The worker's core.
     pub core: usize,
     /// The worker's index in [`EngineConfig::workers`].
@@ -386,12 +360,11 @@ impl Ctx<'_> {
 /// A queue application: the per-packet half of the polling loop.
 ///
 /// One instance exists *per worker* (the engine takes a `Vec<A>`), so
-/// instances own their worker's state outright and can run on worker
-/// threads — hence the `Send` bound. Cross-worker state (a shared KVS
-/// index, routing tables) must be `Sync`-shared and read-only during
-/// epochs; cross-worker *transfers* (pipeline handoff) go through the
-/// epoch hook ([`Engine::set_epoch_hook`]).
-pub trait QueueApp: Send {
+/// instances own their worker's state outright. Shared state (a KVS
+/// index, routing tables) is read-only during epochs; cross-worker
+/// *transfers* (pipeline handoff) go through the epoch hook
+/// ([`Engine::set_epoch_hook`]).
+pub trait QueueApp {
     /// Processes one received packet on `ctx.worker` and decides its
     /// fate. Runs timed work against `ctx.m` on `ctx.core`.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, comp: &RxCompletion) -> Verdict;
@@ -412,16 +385,14 @@ pub trait QueueApp: Send {
     }
 }
 
-/// Coordinator-side context handed to the epoch hook (between epochs,
-/// with the machine merged and the pool live).
+/// Context handed to the epoch and control hooks (between epochs, after
+/// the merge, with the pool live).
 pub struct MergeCtx<'a> {
     /// The mbuf pool (for recycling buffers the hook drops).
     pub pool: &'a mut MbufPool,
-    /// The fully merged machine. Hooks may run *timed* work against it
-    /// (e.g. the KVS's §8 hot-set migration swaps): cycles land on the
-    /// core they are charged to, exactly as worker-epoch work does, and
-    /// because the hook runs on the coordinator in both execution modes
-    /// the result stays bit-identical serial vs. parallel.
+    /// The machine. Hooks may run *timed* work against it (e.g. the
+    /// KVS's §8 hot-set migration swaps): cycles land on the core they
+    /// are charged to, exactly as worker-epoch work does.
     pub m: &'a mut Machine,
     app_drops: &'a mut [u64],
 }
@@ -434,14 +405,13 @@ impl MergeCtx<'_> {
     }
 }
 
-/// The cross-worker transfer hook, run by the coordinator after every
-/// epoch merge: move items between the per-worker apps (e.g. a pipeline
+/// The cross-worker transfer hook, run after every epoch merge: move items between the per-worker apps (e.g. a pipeline
 /// stage-1 outbox into stage-2's inbox). Returns how many items moved,
 /// which keeps [`Engine::drain`] honest.
 pub type EpochHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>) -> usize>;
 
 /// A periodic control-plane hook ([`Engine::set_control_hook`]): the
-/// coordinator fires it at every multiple of the control period that a
+/// engine fires it at every multiple of the control period that a
 /// [`Engine::run_until`] horizon crosses, after catching simulated time
 /// up to exactly that boundary. The third argument is the boundary time
 /// (ns). Unlike the epoch hook — which runs whenever the *scheduler*
@@ -449,7 +419,7 @@ pub type EpochHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>) -> usize>;
 /// [`Scheduler::EventDriven`] and [`Scheduler::ReferenceTick`] — the
 /// control hook's firing times are a pure function of the horizon
 /// sequence, so a controller's decisions stay bit-identical across both
-/// schedulers and both execution modes. Hooks may run timed work
+/// schedulers. Hooks may run timed work
 /// against `MergeCtx::m`; the cycles are folded into the owning
 /// workers' free-at times exactly like epoch-hook time.
 pub type ControlHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>, f64)>;
@@ -510,30 +480,21 @@ pub struct EngineReport {
     pub offered_wire_bits: u64,
     /// Wire bits transmitted.
     pub tx_wire_bits: u64,
-    /// Scheduler counters for this run. Bit-identical across execution
-    /// modes; the only report field that legitimately differs between
-    /// [`Scheduler::EventDriven`] and [`Scheduler::ReferenceTick`].
+    /// Scheduler counters for this run: the only report field that
+    /// legitimately differs between [`Scheduler::EventDriven`] and
+    /// [`Scheduler::ReferenceTick`].
     pub sched: SchedStats,
 }
 
 // ---------------------------------------------------------------------
-// Epoch worker tasks.
+// Epoch worker polls.
 // ---------------------------------------------------------------------
 
-/// Everything one worker needs for one epoch. Crosses the thread
-/// boundary in parallel mode, hence the `Send` assertion below.
-struct WorkerTask<'a, A: QueueApp> {
-    worker: usize,
-    core: usize,
-    queue: Option<usize>,
-    shard: EpochShard<'a>,
-    view: Option<RxView<'a>>,
-    app: &'a mut A,
-    faults: &'a FaultState,
-    pool: &'a MbufPool,
+/// The per-epoch constants every worker's poll loop reads.
+#[derive(Clone, Copy)]
+struct EpochParams {
     burst: usize,
     ns_per_cycle: f64,
-    free_ns: f64,
     /// Poll horizon; `f64::INFINITY` in single-poll (`step`) mode.
     horizon: f64,
     single_poll: bool,
@@ -549,59 +510,50 @@ struct PollOutcome {
     freed: Vec<u32>,
 }
 
-/// What a worker task hands back to the coordinator.
+/// What one worker's epoch hands to the merge.
 struct TaskOutcome {
     worker: usize,
     polls: Vec<PollOutcome>,
     free_ns: f64,
     ended_idle: bool,
     moved: usize,
-    log: Vec<LlcOp>,
 }
 
-// Compile-time guarantees that everything crossing the thread boundary
-// is `Send` (the parallel dispatcher relies on it; keep these in sync
-// with the differential suite's assertions).
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    struct ProbeApp;
-    impl QueueApp for ProbeApp {
-        fn on_packet(&mut self, _: &mut Ctx<'_>, _: &RxCompletion) -> Verdict {
-            Verdict::Drop
-        }
-    }
-    assert_send::<WorkerTask<'_, ProbeApp>>();
-    assert_send::<TaskOutcome>();
-    assert_send::<EpochShard<'_>>();
-    assert_send::<RxView<'_>>();
-};
-
-/// Runs one worker's polling loop for one epoch, entirely against its
-/// shard. Identical code in serial and parallel mode — the *only*
-/// difference between the modes is which thread this runs on.
-fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
+/// Runs worker `worker`'s polling loop for one epoch, directly on the
+/// machine and its RX queue. Buffer recycling, TX commits and refills
+/// are returned as a [`TaskOutcome`] for the merge.
+fn run_task<A: QueueApp>(
+    app: &mut A,
+    hw: &mut Hw<'_>,
+    faults: &FaultState,
+    worker: usize,
+    spec: WorkerSpec,
+    free_ns: f64,
+    ep: EpochParams,
+) -> TaskOutcome {
+    let core = spec.core;
     let mut polls = Vec::new();
     let mut moved_total = 0usize;
-    let mut free = t.free_ns;
+    let mut free = free_ns;
     let mut ended_idle = false;
     loop {
-        if !t.single_poll && free >= t.horizon {
+        if !ep.single_poll && free >= ep.horizon {
             break;
         }
-        let has_rx = t.view.as_ref().is_some_and(|v| v.ready_len() > 0);
-        if !has_rx && !t.app.has_backlog() {
+        let has_rx = spec.queue.is_some_and(|q| hw.port.ready_count(q) > 0);
+        if !has_rx && !app.has_backlog() {
             ended_idle = true;
-            if !t.single_poll {
+            if !ep.single_poll {
                 // Idle-poll forward to the horizon; the idle re-arm
                 // refill happens at the merge.
-                free = t.horizon;
+                free = ep.horizon;
             }
             break;
         }
-        let start_cycles = t.shard.now(t.core);
+        let start_cycles = hw.m.now(core);
         let start_ns = free;
-        let batch = match t.view.as_mut() {
-            Some(v) => v.rx_burst(&mut t.shard, t.pool, t.core, t.burst).0,
+        let batch = match spec.queue {
+            Some(q) => hw.port.rx_burst(hw.m, hw.pool, q, core, ep.burst).0,
             None => Vec::new(),
         };
         let mut moved = batch.len();
@@ -610,38 +562,38 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
         let dropped;
         {
             let mut ctx = Ctx {
-                m: &mut t.shard,
-                core: t.core,
-                worker: t.worker,
-                queue: t.queue,
+                m: hw.m,
+                core,
+                worker,
+                queue: spec.queue,
                 start_cycles,
                 start_ns,
-                ns_per_cycle: t.ns_per_cycle,
+                ns_per_cycle: ep.ns_per_cycle,
                 dropped: 0,
                 freed: &mut freed,
             };
             for comp in &batch {
-                match t.app.on_packet(&mut ctx, comp) {
+                match app.on_packet(&mut ctx, comp) {
                     Verdict::Tx(desc) => tx.push(desc),
                     Verdict::Drop => ctx.drop_packet(comp.mbuf),
                     Verdict::Consumed => {}
                 }
             }
-            moved += t.app.pump(&mut ctx, &mut tx);
+            moved += app.pump(&mut ctx, &mut tx);
             dropped = ctx.dropped;
         }
         let mut tx_stalled = false;
         if !tx.is_empty() {
-            let t_tx = start_ns + (t.shard.now(t.core) - start_cycles) as f64 * t.ns_per_cycle;
-            if t.faults.tx_stalled(t_tx) {
+            let t_tx = start_ns + (hw.m.now(core) - start_cycles) as f64 * ep.ns_per_cycle;
+            if faults.tx_stalled(t_tx) {
                 // The TX descriptor path is wedged: fully processed
                 // frames cannot leave the box; the merge recycles them.
                 tx_stalled = true;
             } else {
-                rte::nic::tx_wire(&mut t.shard, t.core, &tx);
+                rte::nic::tx_wire(hw.m, core, &tx);
             }
         }
-        let busy = (t.shard.now(t.core) - start_cycles) as f64 * t.ns_per_cycle;
+        let busy = (hw.m.now(core) - start_cycles) as f64 * ep.ns_per_cycle;
         free = start_ns + busy;
         moved_total += moved;
         polls.push(PollOutcome {
@@ -650,17 +602,16 @@ fn run_task<A: QueueApp>(mut t: WorkerTask<'_, A>) -> TaskOutcome {
             dropped,
             freed,
         });
-        if t.single_poll {
+        if ep.single_poll {
             break;
         }
     }
     TaskOutcome {
-        worker: t.worker,
+        worker,
         polls,
         free_ns: free,
         ended_idle,
         moved: moved_total,
-        log: t.shard.into_log(),
     }
 }
 
@@ -686,9 +637,6 @@ pub struct Engine<A: QueueApp> {
     /// when ungrouped.
     queue_groups: Vec<usize>,
     cfg: EngineConfig,
-    /// Persistent threads for [`Execution::Parallel`], spawned lazily
-    /// at the first multi-worker epoch (never in serial mode).
-    thread_pool: Option<pool::WorkerPool>,
     /// The virtual-time event queue: at most one pending [`EngineEvent::Merge`]
     /// per worker (deduplicated by `merge_pending`), keyed on the
     /// worker's free-at time via [`events::time_key`]. Unused by
@@ -734,8 +682,8 @@ impl<A: QueueApp> Engine<A> {
     /// Panics on degenerate geometry: no workers, an app count that
     /// differs from the worker count, zero burst/depth, a worker queue
     /// outside the port, a queue polled by two workers, two workers on
-    /// one core (they could not run as disjoint shards), or a port
-    /// queue no worker polls.
+    /// one core (their clocks would collide), or a port queue no worker
+    /// polls.
     pub fn new(apps: Vec<A>, cfg: EngineConfig, hw: &mut Hw<'_>) -> Self {
         assert!(!cfg.workers.is_empty(), "no workers");
         assert_eq!(
@@ -801,7 +749,6 @@ impl<A: QueueApp> Engine<A> {
             next_control_ns: f64::INFINITY,
             queue_groups: Vec::new(),
             cfg,
-            thread_pool: None,
         };
         for w in 0..eng.cfg.workers.len() {
             if let Some(q) = eng.cfg.workers[w].queue {
@@ -1084,8 +1031,8 @@ impl<A: QueueApp> Engine<A> {
     }
 
     /// Runs every worker's polling loop until simulated time `until_ns`
-    /// — one epoch: workers run on disjoint shards to the horizon, then
-    /// the coordinator merges in worker order. Cross-worker handoff
+    /// — one epoch: workers run in worker order to the horizon, then the
+    /// merge walk commits their buffer effects in the same order. Cross-worker handoff
     /// (the epoch hook) is applied once, after the merge, so pipeline
     /// stages see each other's output with epoch granularity.
     ///
@@ -1094,7 +1041,7 @@ impl<A: QueueApp> Engine<A> {
     /// work before the horizon; otherwise simulated time jumps to
     /// `until_ns` without one. The resulting [`EngineReport`] is
     /// bit-identical either way (only [`EngineReport::sched`] differs)
-    /// — `crates/engine/tests/reference.rs` pins this.
+    /// — `crates/engine/tests/differential.rs` pins this.
     /// With a control hook installed ([`Engine::set_control_hook`]) the
     /// horizon is segmented at control boundaries: catch up to each
     /// crossed multiple of the period, fire the hook there, and only
@@ -1258,20 +1205,21 @@ impl<A: QueueApp> Engine<A> {
         while self.step(hw) > 0 {}
     }
 
-    /// One epoch: partition, run (inline or on threads), merge.
+    /// One epoch: partition, run each active worker in worker order,
+    /// merge.
     ///
     /// In horizon mode (`single_poll == false`) every worker behind
     /// `horizon_ns` participates and polls until it runs dry or reaches
     /// the horizon. In single-poll mode (`step`) every worker with
     /// pending work polls exactly once. Returns packets moved.
     fn run_epoch(&mut self, hw: &mut Hw<'_>, horizon_ns: f64, single_poll: bool) -> usize {
-        // The partition (and the poll start times handed to tasks) read
-        // the raw clocks; fold any deferred idle forward in first.
+        // The partition (and the poll start times) read the raw clocks;
+        // fold any deferred idle forward in first.
         self.materialize_floor();
         self.sched.epochs_dispatched += 1;
-        // Partition the workers: `active` get shards and run the loop;
-        // `idle` (behind the horizon with nothing to do) only get the
-        // idle re-arm refill at the merge.
+        // Partition the workers: `active` run the loop; `idle` (behind
+        // the horizon with nothing to do) only get the idle re-arm
+        // refill at the merge.
         let mut active: Vec<usize> = Vec::new();
         let mut idle: Vec<usize> = Vec::new();
         for w in 0..self.cfg.workers.len() {
@@ -1287,89 +1235,29 @@ impl<A: QueueApp> Engine<A> {
         if !active.is_empty() {
             self.sched.epochs_with_work += 1;
         }
-        let outcomes: Vec<TaskOutcome> = if active.is_empty() {
-            Vec::new()
-        } else {
-            let cores: Vec<usize> = active.iter().map(|&w| self.cfg.workers[w].core).collect();
-            let shards = hw.m.epoch_shards(&cores);
-            let mut views: Vec<Option<RxView<'_>>> =
-                hw.port.rx_views().into_iter().map(Some).collect();
-            let mut apps: Vec<Option<&mut A>> = self.apps.iter_mut().map(Some).collect();
-            let faults = &self.faults;
-            let pool: &MbufPool = hw.pool;
-            let tasks: Vec<WorkerTask<'_, A>> = active
-                .iter()
-                .zip(shards)
-                .map(|(&w, shard)| {
-                    let spec = self.cfg.workers[w];
-                    WorkerTask {
-                        worker: w,
-                        core: spec.core,
-                        queue: spec.queue,
-                        shard,
-                        view: spec.queue.and_then(|q| views[q].take()),
-                        app: apps[w].take().expect("worker split"),
-                        faults,
-                        pool,
-                        burst: self.cfg.burst,
-                        ns_per_cycle: self.ns_per_cycle,
-                        free_ns: self.free_ns[w],
-                        horizon: horizon_ns,
-                        single_poll,
-                    }
-                })
-                .collect();
-            match self.cfg.execution {
-                Execution::Serial => tasks.into_iter().map(run_task).collect(),
-                Execution::Parallel { threads } => {
-                    let n = threads.max(1).min(tasks.len());
-                    if n == 1 {
-                        // A single active worker (or a one-thread
-                        // request) gains nothing from dispatch; run it
-                        // inline. Where a task runs never changes its
-                        // outcome, so this is invisible in the results.
-                        tasks.into_iter().map(run_task).collect()
-                    } else {
-                        // Round-robin by *position in the active list*
-                        // — a pure function of worker indices, never of
-                        // thread scheduling — and reassemble outcomes
-                        // by position, so any thread count yields the
-                        // same merge order.
-                        let mut buckets: Vec<Vec<(usize, WorkerTask<'_, A>)>> =
-                            (0..n).map(|_| Vec::new()).collect();
-                        for (i, t) in tasks.into_iter().enumerate() {
-                            buckets[i % n].push((i, t));
-                        }
-                        let pool = self
-                            .thread_pool
-                            .get_or_insert_with(|| pool::WorkerPool::new(threads));
-                        let (res_tx, res_rx) = std::sync::mpsc::channel();
-                        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = buckets
-                            .into_iter()
-                            .map(|bucket| {
-                                let res_tx = res_tx.clone();
-                                Box::new(move || {
-                                    for (i, t) in bucket {
-                                        let _ = res_tx.send((i, run_task(t)));
-                                    }
-                                }) as Box<dyn FnOnce() + Send + '_>
-                            })
-                            .collect();
-                        pool.run(jobs);
-                        drop(res_tx);
-                        let mut slots: Vec<Option<TaskOutcome>> =
-                            active.iter().map(|_| None).collect();
-                        for (i, o) in res_rx {
-                            slots[i] = Some(o);
-                        }
-                        slots
-                            .into_iter()
-                            .map(|o| o.expect("every task produces an outcome"))
-                            .collect()
-                    }
-                }
-            }
+        let ep = EpochParams {
+            burst: self.cfg.burst,
+            ns_per_cycle: self.ns_per_cycle,
+            horizon: horizon_ns,
+            single_poll,
         };
+        // The partition was taken before anyone polled, so a worker's
+        // membership does not depend on what earlier workers did.
+        let outcomes: Vec<TaskOutcome> = active
+            .iter()
+            .map(|&w| {
+                let spec = self.cfg.workers[w];
+                run_task(
+                    &mut self.apps[w],
+                    hw,
+                    &self.faults,
+                    w,
+                    spec,
+                    self.free_ns[w],
+                    ep,
+                )
+            })
+            .collect();
         // Merge, in canonical worker order (ascending worker index;
         // `active` and `idle` are each ascending and disjoint, so one
         // merged walk preserves it).
@@ -1382,9 +1270,7 @@ impl<A: QueueApp> Engine<A> {
                 oi += 1;
                 let spec = self.cfg.workers[w];
                 let aq = spec.queue.unwrap_or(0);
-                // 1. The worker's deferred LLC effects.
-                hw.m.replay_llc(spec.core, &o.log);
-                // 2. Per poll, in order: app drops, then the TX fate.
+                // 1. Per poll, in order: app drops, then the TX fate.
                 for p in &o.polls {
                     for &mb in &p.freed {
                         hw.pool.put(mb);
@@ -1406,7 +1292,7 @@ impl<A: QueueApp> Engine<A> {
                 }
                 moved += o.moved;
                 self.free_ns[w] = o.free_ns;
-                // 3. Refill the worker's queue. A real RX ring has
+                // 2. Refill the worker's queue. A real RX ring has
                 // `depth` slots shared by posted descriptors and
                 // not-yet-harvested completions; top up only the slots
                 // this epoch freed.
@@ -1443,7 +1329,7 @@ impl<A: QueueApp> Engine<A> {
                 self.free_ns[w] = horizon_ns;
             }
         }
-        // 4. Cross-worker handoff, with the machine fully merged.
+        // 3. Cross-worker handoff, after every worker's merge.
         if let Some(hook) = self.epoch_hook.as_mut() {
             // Timed machine work a hook performs on a worker's core
             // (e.g. a batched migration at the merge) occupies that
@@ -1628,7 +1514,7 @@ mod tests {
         vec![Echo { work }; workers]
     }
 
-    fn run_echo(execution: Execution) -> EngineReport {
+    fn run_echo() -> EngineReport {
         let (mut m, mut pool, mut port) = setup(2, 64);
         let mut policy = rte::nic::FixedHeadroom(128);
         let mut hw = Hw {
@@ -1644,7 +1530,7 @@ mod tests {
                 queue_depth: 64,
                 burst: 16,
                 faults: FaultPlan::none(),
-                execution,
+                execution: Execution::Serial,
                 admission: AdmissionPolicy::AcceptAll,
                 scheduler: Scheduler::default(),
             },
@@ -1660,7 +1546,7 @@ mod tests {
 
     #[test]
     fn echo_delivers_everything_at_low_rate() {
-        let rep = run_echo(Execution::Serial);
+        let rep = run_echo();
         assert_eq!(rep.offered, 500);
         assert_eq!(rep.delivered, 500);
         assert_eq!(rep.nic.total() + rep.app_drops, 0);
@@ -1673,12 +1559,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_echo_matches_serial_exactly() {
-        let serial = run_echo(Execution::Serial);
-        for threads in [1, 2, 3] {
-            let par = run_echo(Execution::Parallel { threads });
-            assert_eq!(serial, par, "threads={threads} must match serial");
-        }
+    fn echo_is_identical_across_runs() {
+        assert_eq!(run_echo(), run_echo());
     }
 
     #[test]
@@ -1717,7 +1599,7 @@ mod tests {
 
     /// Offers a steady trickle with a 1 µs control hook installed and
     /// returns (boundary times seen, report).
-    fn run_with_control(scheduler: Scheduler, execution: Execution) -> (Vec<f64>, EngineReport) {
+    fn run_with_control(scheduler: Scheduler) -> (Vec<f64>, EngineReport) {
         use std::cell::RefCell;
         use std::rc::Rc;
         let (mut m, mut pool, mut port) = setup(2, 32);
@@ -1735,7 +1617,7 @@ mod tests {
                 queue_depth: 32,
                 burst: 8,
                 faults: FaultPlan::none(),
-                execution,
+                execution: Execution::Serial,
                 admission: AdmissionPolicy::AcceptAll,
                 scheduler,
             },
@@ -1767,20 +1649,18 @@ mod tests {
         // multiple of the 1 µs period up to 6 µs must fire, exactly
         // once, at exactly the boundary time — independent of which
         // scheduler dispatched the epochs in between.
-        let (ref_times, ref_rep) = run_with_control(Scheduler::ReferenceTick, Execution::Serial);
+        let (ref_times, ref_rep) = run_with_control(Scheduler::ReferenceTick);
         assert_eq!(
             ref_times,
             vec![1_000.0, 2_000.0, 3_000.0, 4_000.0, 5_000.0, 6_000.0]
         );
         for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-            for execution in [Execution::Serial, Execution::Parallel { threads: 2 }] {
-                let (times, rep) = run_with_control(scheduler, execution);
-                assert_eq!(times, ref_times, "{scheduler:?}/{execution:?} boundaries");
-                // Everything but the scheduler counters is bit-identical.
-                assert_eq!(rep.per_queue, ref_rep.per_queue);
-                assert_eq!(rep.duration_ns, ref_rep.duration_ns);
-                assert_eq!(rep.delivered, ref_rep.delivered);
-            }
+            let (times, rep) = run_with_control(scheduler);
+            assert_eq!(times, ref_times, "{scheduler:?} boundaries");
+            // Everything but the scheduler counters is bit-identical.
+            assert_eq!(rep.per_queue, ref_rep.per_queue);
+            assert_eq!(rep.duration_ns, ref_rep.duration_ns);
+            assert_eq!(rep.delivered, ref_rep.delivered);
         }
     }
 

@@ -1,16 +1,10 @@
 //! Differential determinism harness: every scenario in a grid of
 //! app behaviour × steering × queue geometry × fault plan is executed
-//! once under [`Execution::Serial`] and repeatedly under
-//! [`Execution::Parallel`] with several thread counts, and every run
-//! must produce a bit-identical [`EngineReport`].
-//!
-//! This is the proof obligation for the engine's parallel mode: both
-//! modes run the *same* frozen-LLC epoch algorithm (workers on disjoint
-//! shards, coordinator replays their LLC logs in canonical worker
-//! order), so equality is expected by construction — this suite is the
-//! regression tripwire that keeps it that way. The real applications
-//! (NFV chain, pipelined chain, KVS) get the same treatment in the
-//! workspace-level `tests/determinism.rs`.
+//! twice under each scheduler. Repeated runs must produce a
+//! bit-identical [`EngineReport`], and the event-driven scheduler must
+//! match the reference tick-stepper field for field (bar the scheduler
+//! counters). The real applications (NFV chain, pipelined chain, KVS)
+//! get the same treatment in the workspace-level `tests/determinism.rs`.
 
 use engine::{
     AdmissionPolicy, Ctx, Engine, EngineConfig, EngineReport, Execution, Hw, QueueApp, SchedStats,
@@ -119,10 +113,9 @@ fn mixed_plan(seed: u64, horizon_ns: u64, queues: usize) -> FaultPlan {
     plan
 }
 
-/// Runs one grid scenario under `execution` (and the default
-/// event-driven scheduler) and returns the report. Everything else —
-/// arrivals, flows, app decisions — is a pure function of the scenario,
-/// so any divergence between two calls is the execution mode's fault.
+/// Runs one grid scenario under the default event-driven scheduler and
+/// returns the report. Everything — arrivals, flows, app decisions — is
+/// a pure function of the scenario, so two calls must agree exactly.
 fn run_scenario(
     app: AppKind,
     steer: SteerKind,
@@ -130,7 +123,6 @@ fn run_scenario(
     depth: usize,
     burst: usize,
     faulty: bool,
-    execution: Execution,
 ) -> EngineReport {
     run_scheduled(
         app,
@@ -139,13 +131,11 @@ fn run_scenario(
         depth,
         burst,
         faulty,
-        execution,
         Scheduler::EventDriven,
     )
 }
 
 /// [`run_scenario`] with the scheduler as an explicit axis.
-#[allow(clippy::too_many_arguments)]
 fn run_scheduled(
     app: AppKind,
     steer: SteerKind,
@@ -153,7 +143,6 @@ fn run_scheduled(
     depth: usize,
     burst: usize,
     faulty: bool,
-    execution: Execution,
     scheduler: Scheduler,
 ) -> EngineReport {
     let seed = 0xd1f_0000
@@ -197,7 +186,7 @@ fn run_scheduled(
         queue_depth: depth,
         burst,
         faults,
-        execution,
+        execution: Execution::Serial,
         admission: AdmissionPolicy::AcceptAll,
         scheduler,
     };
@@ -227,40 +216,29 @@ fn run_scheduled(
 
 const GEOMETRIES: &[(usize, usize, usize)] = &[(1, 16, 8), (2, 64, 32), (4, 32, 1)];
 
-/// The headline grid: serial vs parallel at threads ∈ {1, 2, queues},
-/// bit-identical reports everywhere.
+/// The headline grid: every scenario run twice yields bit-identical
+/// reports.
 #[test]
-fn grid_serial_and_parallel_reports_are_bit_identical() {
+fn grid_reports_are_bit_identical_across_runs() {
     for app in [AppKind::Echo, AppKind::Chaos, AppKind::Backlog] {
         for steer in [SteerKind::Rss, SteerKind::FlowDirector] {
             for &(queues, depth, burst) in GEOMETRIES {
                 for faulty in [false, true] {
-                    let serial =
-                        run_scenario(app, steer, queues, depth, burst, faulty, Execution::Serial);
-                    for threads in [1usize, 2, queues] {
-                        let par = run_scenario(
-                            app,
-                            steer,
-                            queues,
-                            depth,
-                            burst,
-                            faulty,
-                            Execution::Parallel { threads },
-                        );
-                        assert_eq!(
-                            serial, par,
-                            "{app:?}/{steer:?} q={queues} d={depth} b={burst} \
-                             faulty={faulty}: parallel({threads}) diverged from serial"
-                        );
-                    }
+                    let first = run_scenario(app, steer, queues, depth, burst, faulty);
+                    let second = run_scenario(app, steer, queues, depth, burst, faulty);
+                    assert_eq!(
+                        first, second,
+                        "{app:?}/{steer:?} q={queues} d={depth} b={burst} \
+                         faulty={faulty}: repeated run diverged"
+                    );
                 }
             }
         }
     }
 }
 
-/// The reference-vs-event-driven differential: over the entire grid, in
-/// both execution modes, the event-driven scheduler's report equals the
+/// The reference-vs-event-driven differential: over the entire grid,
+/// the event-driven scheduler's report equals the
 /// retained reference tick-stepper's field-for-field — except
 /// [`EngineReport::sched`], whose whole point is to differ (the
 /// event-driven run must never dispatch *more* epochs).
@@ -274,114 +252,55 @@ fn event_driven_scheduler_matches_reference_tick_stepper() {
         for steer in [SteerKind::Rss, SteerKind::FlowDirector] {
             for &(queues, depth, burst) in GEOMETRIES {
                 for faulty in [false, true] {
-                    for execution in [Execution::Serial, Execution::Parallel { threads: 2 }] {
-                        let evt = run_scheduled(
-                            app,
-                            steer,
-                            queues,
-                            depth,
-                            burst,
-                            faulty,
-                            execution,
-                            Scheduler::EventDriven,
-                        );
-                        let tick = run_scheduled(
-                            app,
-                            steer,
-                            queues,
-                            depth,
-                            burst,
-                            faulty,
-                            execution,
-                            Scheduler::ReferenceTick,
-                        );
-                        assert_eq!(
-                            sans_sched(evt.clone()),
-                            sans_sched(tick.clone()),
-                            "{app:?}/{steer:?} q={queues} d={depth} b={burst} faulty={faulty} \
-                             {execution:?}: event-driven diverged from the reference tick-stepper"
-                        );
-                        assert!(
-                            evt.sched.epochs_dispatched <= tick.sched.epochs_dispatched,
-                            "{app:?}/{steer:?} q={queues} d={depth} b={burst} faulty={faulty} \
-                             {execution:?}: event-driven dispatched more epochs ({}) than the \
-                             tick-stepper ({})",
-                            evt.sched.epochs_dispatched,
-                            tick.sched.epochs_dispatched,
-                        );
-                    }
+                    let evt = run_scheduled(
+                        app,
+                        steer,
+                        queues,
+                        depth,
+                        burst,
+                        faulty,
+                        Scheduler::EventDriven,
+                    );
+                    let tick = run_scheduled(
+                        app,
+                        steer,
+                        queues,
+                        depth,
+                        burst,
+                        faulty,
+                        Scheduler::ReferenceTick,
+                    );
+                    assert_eq!(
+                        sans_sched(evt.clone()),
+                        sans_sched(tick.clone()),
+                        "{app:?}/{steer:?} q={queues} d={depth} b={burst} faulty={faulty}: \
+                         event-driven diverged from the reference tick-stepper"
+                    );
+                    assert!(
+                        evt.sched.epochs_dispatched <= tick.sched.epochs_dispatched,
+                        "{app:?}/{steer:?} q={queues} d={depth} b={burst} faulty={faulty}: \
+                         event-driven dispatched more epochs ({}) than the tick-stepper ({})",
+                        evt.sched.epochs_dispatched,
+                        tick.sched.epochs_dispatched,
+                    );
                 }
             }
         }
     }
 }
 
-/// Parallel mode must also be deterministic against *itself*: repeated
-/// runs of the same scenario with the same thread count, and runs with
-/// different thread counts, all agree.
-#[test]
-fn parallel_is_self_deterministic_across_repeats_and_thread_counts() {
-    for app in [AppKind::Chaos, AppKind::Backlog] {
-        let reference = run_scenario(
-            app,
-            SteerKind::Rss,
-            4,
-            32,
-            8,
-            true,
-            Execution::Parallel { threads: 2 },
-        );
-        for repeat in 0..3 {
-            for threads in [1usize, 2, 4] {
-                let rep = run_scenario(
-                    app,
-                    SteerKind::Rss,
-                    4,
-                    32,
-                    8,
-                    true,
-                    Execution::Parallel { threads },
-                );
-                assert_eq!(
-                    reference, rep,
-                    "{app:?}: parallel run (repeat {repeat}, threads {threads}) \
-                     is not reproducible"
-                );
-            }
-        }
-    }
-}
-
 /// Stress: several *whole engines* running concurrently on OS threads
-/// (as a parallel test harness would run them) must each still produce
-/// the canonical report — no cross-engine interference through shared
-/// process state. Run this suite with `--test-threads=1` and with the
-/// default parallel harness; both must pass identically.
+/// (as a multi-threaded test harness would run them) must each still
+/// produce the canonical report — no cross-engine interference through
+/// shared process state. Run this suite with `--test-threads=1` and
+/// with the default harness; both must pass identically.
 #[test]
 fn concurrent_engines_do_not_interfere() {
-    let expected = run_scenario(
-        AppKind::Chaos,
-        SteerKind::FlowDirector,
-        4,
-        32,
-        8,
-        true,
-        Execution::Parallel { threads: 4 },
-    );
+    let expected = run_scenario(AppKind::Chaos, SteerKind::FlowDirector, 4, 32, 8, true);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                s.spawn(|| {
-                    run_scenario(
-                        AppKind::Chaos,
-                        SteerKind::FlowDirector,
-                        4,
-                        32,
-                        8,
-                        true,
-                        Execution::Parallel { threads: 4 },
-                    )
-                })
+                s.spawn(|| run_scenario(AppKind::Chaos, SteerKind::FlowDirector, 4, 32, 8, true))
             })
             .collect();
         for h in handles {
@@ -417,7 +336,7 @@ impl QueueApp for EconApp {
 
 /// Runs the economics-hook scenario and returns the report, the final
 /// per-core machine clocks, and the cycles each queue's hook charged.
-fn run_econ(execution: Execution, scheduler: Scheduler) -> (EngineReport, Vec<u64>, Vec<u64>) {
+fn run_econ(scheduler: Scheduler) -> (EngineReport, Vec<u64>, Vec<u64>) {
     let queues = 2usize;
     let depth = 32usize;
     let apps: Vec<EconApp> = (0..queues)
@@ -441,7 +360,7 @@ fn run_econ(execution: Execution, scheduler: Scheduler) -> (EngineReport, Vec<u6
         queue_depth: depth,
         burst: 8,
         faults: FaultPlan::none(),
-        execution,
+        execution: Execution::Serial,
         admission: AdmissionPolicy::AcceptAll,
         scheduler,
     };
@@ -449,8 +368,7 @@ fn run_econ(execution: Execution, scheduler: Scheduler) -> (EngineReport, Vec<u6
     // Controller state captured by the hook: a per-queue cost estimate
     // refined from "realized" charges, calm-epoch counters and dormancy
     // flags. Everything is a pure function of the apps' access counts,
-    // so both schedulers and both execution modes must replay it
-    // identically. Crucially the hook is a strict no-op at workless
+    // so both schedulers must replay it identically. Crucially the hook is a strict no-op at workless
     // epochs: `seen` only moves when packets were processed, and every
     // acting branch resets it.
     let mut est = vec![800u64; queues];
@@ -512,70 +430,37 @@ fn run_econ(execution: Execution, scheduler: Scheduler) -> (EngineReport, Vec<u6
     (rep, clocks, charged)
 }
 
-/// The tentpole's engine-side obligation: a stateful, economics-driven
-/// epoch hook that charges timed machine work at merges must stay
-/// bit-identical — report, per-core clocks, and charged cycles — across
-/// serial/parallel and event-driven/reference-tick, because its
-/// decisions are pure functions of noted access counts and it is a
-/// no-op at workless epochs (DESIGN §3f).
+/// A stateful, economics-driven epoch hook that charges timed machine
+/// work at merges must stay bit-identical — report, per-core clocks,
+/// and charged cycles — across repeated runs and event-driven/
+/// reference-tick scheduling, because its decisions are pure functions
+/// of noted access counts and it is a no-op at workless epochs
+/// (DESIGN §3f).
 #[test]
-fn stateful_economics_hook_is_bit_identical_across_modes_and_schedulers() {
+fn stateful_economics_hook_is_bit_identical_across_runs_and_schedulers() {
     let sans_sched = |mut rep: EngineReport| {
         rep.sched = SchedStats::default();
         rep
     };
-    let (ref_rep, ref_clocks, ref_charged) = run_econ(Execution::Serial, Scheduler::EventDriven);
+    let (ref_rep, ref_clocks, ref_charged) = run_econ(Scheduler::EventDriven);
     assert!(
         ref_charged.iter().sum::<u64>() > 0,
         "the hook must actually charge work for this test to mean anything"
     );
-    for execution in [
-        Execution::Serial,
-        Execution::Parallel { threads: 1 },
-        Execution::Parallel { threads: 2 },
-    ] {
-        for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-            let (rep, clocks, charged) = run_econ(execution, scheduler);
-            assert_eq!(
-                sans_sched(ref_rep.clone()),
-                sans_sched(rep),
-                "{execution:?}/{scheduler:?}: report diverged"
-            );
-            assert_eq!(
-                ref_clocks, clocks,
-                "{execution:?}/{scheduler:?}: hook charges landed on different clocks"
-            );
-            assert_eq!(
-                ref_charged, charged,
-                "{execution:?}/{scheduler:?}: hook charged different cycles"
-            );
-        }
-    }
-}
-
-/// Over-subscription: more threads than workers (and more threads than
-/// host cores would sensibly allow) still yields the canonical report.
-#[test]
-fn oversubscribed_thread_counts_are_harmless() {
-    let serial = run_scenario(
-        AppKind::Echo,
-        SteerKind::Rss,
-        2,
-        32,
-        8,
-        false,
-        Execution::Serial,
-    );
-    for threads in [3usize, 8, 64] {
-        let par = run_scenario(
-            AppKind::Echo,
-            SteerKind::Rss,
-            2,
-            32,
-            8,
-            false,
-            Execution::Parallel { threads },
+    for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
+        let (rep, clocks, charged) = run_econ(scheduler);
+        assert_eq!(
+            sans_sched(ref_rep.clone()),
+            sans_sched(rep),
+            "{scheduler:?}: report diverged"
         );
-        assert_eq!(serial, par, "threads={threads} diverged");
+        assert_eq!(
+            ref_clocks, clocks,
+            "{scheduler:?}: hook charges landed on different clocks"
+        );
+        assert_eq!(
+            ref_charged, charged,
+            "{scheduler:?}: hook charged different cycles"
+        );
     }
 }

@@ -1,16 +1,17 @@
 //! Property test: the engine conserves every packet and its simulated
 //! clock never runs backwards, for *any* combination of app behaviour,
 //! steering mode, queue geometry, arrival pattern, fault plan — **and
-//! execution mode**. Every seeded iteration runs twice, once under
-//! [`Execution::Serial`] and once under [`Execution::Parallel`], and the
-//! two [`EngineReport`]s must be bit-identical.
+//! scheduler**. Every seeded iteration runs twice under the event-driven
+//! scheduler, and the two [`EngineReport`]s must be bit-identical; a
+//! third run under the reference tick-stepper must match them bar the
+//! scheduler counters.
 //!
 //! The engine already asserts the conservation invariant internally (per
 //! queue, globally, and against the NIC's own counters) inside
 //! [`Engine::finish`] — so this test's job is to drive it through a wide
 //! randomized space of configurations and make sure none of them trips
-//! an assert, loses a packet, bends time, or diverges between execution
-//! modes. Randomness comes from the in-tree seeded
+//! an assert, loses a packet, bends time, or diverges between runs or
+//! schedulers. Randomness comes from the in-tree seeded
 //! [`trafficgen::Rng64`]; a failure prints its iteration seed and
 //! replays exactly.
 
@@ -29,8 +30,7 @@ use trafficgen::{FlowTuple, Rng64};
 /// with variable per-packet work — the adversarial superset of the real
 /// apps (NFV chains forward/drop; the pipeline consumes and re-emits).
 /// One instance per worker, seeded per worker, so its decision stream is
-/// a pure function of (iteration seed, worker, packet order) — identical
-/// under serial and parallel execution.
+/// a pure function of (iteration seed, worker, packet order).
 struct ChaosApp {
     rng: Rng64,
     drop_permille: u32,
@@ -120,18 +120,12 @@ enum HookKind {
     Economics,
 }
 
-/// Replays iteration `seed` under the given execution mode and
-/// scheduler, returning the final report plus which epoch hook the
-/// scenario installed. Everything — geometry, fault plan, app
-/// behaviour, arrivals, interleaved step calls — is a pure function
-/// of `seed`, so two calls with different `execution` or `scheduler`
+/// Replays iteration `seed` under the given scheduler, returning the
+/// final report plus which epoch hook the scenario installed.
+/// Everything — geometry, fault plan, app behaviour, arrivals,
+/// interleaved step calls — is a pure function of `seed`, so two calls
 /// run the exact same scenario.
-fn run_once(
-    iter: u64,
-    seed: u64,
-    execution: Execution,
-    scheduler: Scheduler,
-) -> (EngineReport, HookKind) {
+fn run_once(iter: u64, seed: u64, scheduler: Scheduler) -> (EngineReport, HookKind) {
     let mut rng = Rng64::seed_from_u64(seed);
     let queues = 1usize << rng.gen_range(0u32..3); // 1, 2 or 4.
     let depth = [16usize, 32, 64][rng.gen_range(0u32..3) as usize];
@@ -154,7 +148,7 @@ fn run_once(
     };
     // A third of the grid runs with an ingress admission policy; its
     // sheds must keep every conservation identity balanced and stay
-    // bit-identical across execution modes like every other drop cause.
+    // bit-identical across runs like every other drop cause.
     let admission = match rng.gen_range(0u32..3) {
         0 => AdmissionPolicy::AcceptAll,
         1 => AdmissionPolicy::QueueDepth {
@@ -188,7 +182,7 @@ fn run_once(
         queue_depth: depth,
         burst,
         faults: plan,
-        execution,
+        execution: Execution::Serial,
         admission,
         scheduler,
     };
@@ -197,11 +191,11 @@ fn run_once(
         HookKind::None => {}
         HookKind::Unconditional => {
             // A third of the grid installs an epoch hook that runs
-            // *timed* work against the merged machine — the
-            // coordinator-side surface the KVS hot-set migration uses
-            // (`MergeCtx::m`). The hook's cycle charges are a pure
-            // function of the iteration seed, so they must land
-            // identically under serial and parallel execution, and the
+            // *timed* work against the machine at the merge — the
+            // surface the KVS hot-set migration uses (`MergeCtx::m`).
+            // The hook's cycle charges are a pure function of the
+            // iteration seed, so they must land identically on every
+            // run, and the
             // conservation/monotonicity asserts below must keep holding
             // with inter-epoch time injected.
             let mut hrng = Rng64::seed_from_u64(seed ^ 0x5ee5_a11d);
@@ -222,7 +216,7 @@ fn run_once(
             // counts — and those evolve only at epochs with work, which
             // the two schedulers dispatch identically — the full report
             // must stay bit-identical across *schedulers* as well as
-            // execution modes.
+            // repeated runs.
             let threshold = 20 + (seed % 40);
             let benefit = 8 + ((seed >> 8) % 24);
             let mut est = vec![600u64; queues];
@@ -270,7 +264,7 @@ fn run_once(
         let now = eng.now_ns();
         assert!(
             now >= clock_floor,
-            "iter {iter} (seed {seed:#x}, {execution:?}): clock ran backwards ({now} < {clock_floor})"
+            "iter {iter} (seed {seed:#x}, {scheduler:?}): clock ran backwards ({now} < {clock_floor})"
         );
         clock_floor = now;
         if rng.gen_range(0u32..4) == 0 {
@@ -278,7 +272,7 @@ fn run_once(
             let now = eng.now_ns();
             assert!(
                 now >= clock_floor,
-                "iter {iter} (seed {seed:#x}, {execution:?}): step reversed time"
+                "iter {iter} (seed {seed:#x}, {scheduler:?}): step reversed time"
             );
             clock_floor = now;
         }
@@ -287,7 +281,7 @@ fn run_once(
     let now = eng.now_ns();
     assert!(
         now >= clock_floor,
-        "iter {iter} (seed {seed:#x}, {execution:?}): drain reversed time"
+        "iter {iter} (seed {seed:#x}, {scheduler:?}): drain reversed time"
     );
 
     // `finish` asserts conservation per queue, globally, and against
@@ -296,22 +290,22 @@ fn run_once(
     let (rep, _) = eng.finish(&mut hw);
     assert_eq!(
         rep.offered, offers as u64,
-        "iter {iter} (seed {seed:#x}, {execution:?})"
+        "iter {iter} (seed {seed:#x}, {scheduler:?})"
     );
     assert_eq!(
         rep.offered + rep.carried,
         rep.delivered + rep.nic.total() + rep.admit.total() + rep.app_drops + rep.in_flight,
-        "iter {iter} (seed {seed:#x}, {execution:?}): conservation"
+        "iter {iter} (seed {seed:#x}, {scheduler:?}): conservation"
     );
     assert_eq!(
         rep.in_flight, 0,
-        "iter {iter} (seed {seed:#x}, {execution:?}): drained open-loop runs leave nothing in flight"
+        "iter {iter} (seed {seed:#x}, {scheduler:?}): drained open-loop runs leave nothing in flight"
     );
     assert_eq!(rep.per_queue.len(), queues);
     let q_off: u64 = rep.per_queue.iter().map(|l| l.offered).sum();
     assert_eq!(
         q_off, rep.offered,
-        "iter {iter} (seed {seed:#x}, {execution:?}): queue partition"
+        "iter {iter} (seed {seed:#x}, {scheduler:?}): queue partition"
     );
     assert!(rep.duration_ns > 0.0);
     (rep, hook_kind)
@@ -330,53 +324,35 @@ fn random_configs_conserve_packets_and_time_in_both_modes() {
     let mut meta = Rng64::seed_from_u64(0x9e37_79b9_7f4a_7c15);
     for iter in 0..60u64 {
         let seed = meta.next_u64();
-        let (serial, hooked) = run_once(iter, seed, Execution::Serial, Scheduler::EventDriven);
-        // Thread count varies with the iteration so the sweep covers
-        // under- and over-subscribed dispatch, including threads == 1.
-        let threads = 1 + (iter as usize % 3);
-        let (parallel, _) = run_once(
-            iter,
-            seed,
-            Execution::Parallel { threads },
-            Scheduler::EventDriven,
-        );
+        let (first, hooked) = run_once(iter, seed, Scheduler::EventDriven);
+        let (second, _) = run_once(iter, seed, Scheduler::EventDriven);
         assert_eq!(
-            serial, parallel,
-            "iter {iter} (seed {seed:#x}): parallel({threads}) diverged from serial"
+            first, second,
+            "iter {iter} (seed {seed:#x}): repeated run diverged"
         );
         // The retained reference tick-stepper must agree field-for-field
-        // with the event-driven scheduler (sched counters aside) in both
-        // execution modes — except when the scenario installed the
-        // *unconditional* timed hook: that hook burns RNG state and
-        // machine cycles *per hook call*, and the number of hook calls
-        // is exactly what event-driven scheduling reduces (hooks run
-        // only at dispatched epochs; all real apps' hooks are no-ops at
-        // workless epochs, that synthetic one is deliberately not — see
-        // DESIGN.md §3f). The economics-style hook honors the contract,
-        // so its scenarios stay in the comparison.
-        let (ref_serial, _) = run_once(iter, seed, Execution::Serial, Scheduler::ReferenceTick);
-        let (ref_parallel, _) = run_once(
-            iter,
-            seed,
-            Execution::Parallel { threads },
-            Scheduler::ReferenceTick,
-        );
-        assert_eq!(
-            ref_serial, ref_parallel,
-            "iter {iter} (seed {seed:#x}): reference parallel({threads}) diverged from serial"
-        );
+        // with the event-driven scheduler (sched counters aside) —
+        // except when the scenario installed the *unconditional* timed
+        // hook: that hook burns RNG state and machine cycles *per hook
+        // call*, and the number of hook calls is exactly what
+        // event-driven scheduling reduces (hooks run only at dispatched
+        // epochs; all real apps' hooks are no-ops at workless epochs,
+        // that synthetic one is deliberately not — see DESIGN.md §3f).
+        // The economics-style hook honors the contract, so its
+        // scenarios stay in the comparison.
+        let (reference, _) = run_once(iter, seed, Scheduler::ReferenceTick);
         if hooked != HookKind::Unconditional {
             assert_eq!(
-                sans_sched(serial.clone()),
-                sans_sched(ref_serial.clone()),
+                sans_sched(first.clone()),
+                sans_sched(reference.clone()),
                 "iter {iter} (seed {seed:#x}): event-driven diverged from reference tick-stepper"
             );
             assert!(
-                serial.sched.epochs_dispatched <= ref_serial.sched.epochs_dispatched,
+                first.sched.epochs_dispatched <= reference.sched.epochs_dispatched,
                 "iter {iter} (seed {seed:#x}): event-driven dispatched more epochs \
                  ({}) than the tick-stepper ({})",
-                serial.sched.epochs_dispatched,
-                ref_serial.sched.epochs_dispatched,
+                first.sched.epochs_dispatched,
+                reference.sched.epochs_dispatched,
             );
         }
     }

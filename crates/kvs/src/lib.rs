@@ -44,6 +44,8 @@
 //! assert_eq!(m.slice_of(pa), closest);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod large;
 pub mod migrate;
 pub mod openloop;

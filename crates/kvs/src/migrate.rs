@@ -51,7 +51,7 @@ use std::collections::{HashMap, HashSet};
 /// The migration economics, read from the machine model. All constants
 /// are in core cycles; all decisions built on them are integer
 /// arithmetic over deterministic access counts, so runs stay
-/// bit-identical across execution modes and schedulers.
+/// bit-identical across repeats and schedulers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// Cycles one hot-area hit saves versus serving the same LLC hit
@@ -366,9 +366,8 @@ impl HotMigrator {
 
     /// Counts one access without driving migration; returns whether the
     /// key was hot at access time. The engine-driven server calls this
-    /// from `on_packet` (shards cannot swap — index entries of
-    /// different classes share cache lines) and runs
-    /// [`HotMigrator::run_epoch`] at the merge when
+    /// from `on_packet` and runs [`HotMigrator::run_epoch`] at the
+    /// epoch merge when
     /// [`HotMigrator::epoch_due`] reports a boundary.
     pub fn note(&mut self, key: u32) -> bool {
         *self.counts.entry(key).or_insert(0) += 1;
@@ -396,7 +395,7 @@ impl HotMigrator {
     ) -> Result<MigrationReport, MigrateError> {
         // This epoch's top keys in a *total* order — (count desc, key
         // asc) — so ties cannot depend on the counts map's iteration
-        // order and serial/parallel runs stay bit-identical.
+        // order and repeated runs stay bit-identical.
         let mut by_count: Vec<(u32, u32)> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
         by_count.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         let want: Vec<(u32, u32)> = by_count.iter().take(self.slots.len()).copied().collect();

@@ -65,9 +65,9 @@ use trafficgen::{Arrivals, FlowTuple, ZipfConstants, ZipfGen};
 /// bounded sink instead (e.g. one `xstats::LogHist` per queue), so the
 /// report path holds no per-request `Vec` at any scale.
 ///
-/// Calls arrive in the engine's deterministic processing order —
-/// identical in serial and parallel execution — so any deterministic
-/// sink yields bit-identical figures across execution modes.
+/// Calls arrive in the engine's deterministic processing order, so any
+/// deterministic sink yields bit-identical figures across runs and
+/// schedulers.
 pub trait CompletionSink {
     /// One completed logical op: the RX queue that served it, the
     /// completion timestamp, and the first-attempt-to-response latency.
@@ -116,9 +116,6 @@ pub struct OpenLoopConfig {
     pub admission: AdmissionPolicy,
     /// Fault plan. Must not contain TX-stall windows (see module docs).
     pub faults: FaultPlan,
-    /// Serial (reference) or parallel worker execution; reports are
-    /// bit-identical either way.
-    pub execution: Execution,
     /// Event-driven virtual-time scheduling (default) or the engine's
     /// reference tick-stepper; reports are bit-identical either way
     /// (only `EngineReport::sched` differs).
@@ -142,7 +139,6 @@ impl OpenLoopConfig {
             max_attempts: 1,
             admission: AdmissionPolicy::AcceptAll,
             faults: FaultPlan::none(),
-            execution: Execution::Serial,
             scheduler: Scheduler::default(),
         }
     }
@@ -190,13 +186,6 @@ impl OpenLoopConfig {
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// The same configuration with the given execution mode.
-    #[must_use]
-    pub fn with_execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
         self
     }
 }
@@ -485,7 +474,7 @@ impl Client {
 /// Drains every worker's outcome log into the client. Worker order is
 /// fixed, outcome order within a worker is the engine's deterministic
 /// processing order, and matching is per-queue — so the client's state
-/// evolution is bit-identical in serial and parallel execution.
+/// evolution is a pure function of the run's inputs.
 fn drain_outcomes(
     eng: &mut Engine<OpenLoopApp<'_>>,
     client: &mut Client,
@@ -613,7 +602,7 @@ fn run_openloop_impl(
         queue_depth: cfg.queue_depth,
         burst: cfg.burst,
         faults: cfg.faults.clone(),
-        execution: cfg.execution,
+        execution: Execution::Serial,
         admission: cfg.admission,
         scheduler: cfg.scheduler,
     };
@@ -808,27 +797,22 @@ mod tests {
     }
 
     #[test]
-    fn overload_with_shedding_and_retries_conserves_and_matches_parallel() {
+    fn overload_with_shedding_and_retries_conserves_and_is_reproducible() {
         // 1 ns gaps on one core: hopeless overload. Depth shedding keeps
         // the queue bounded; the client retries into the storm and must
-        // still reconcile exactly — in both execution modes,
-        // bit-identically.
+        // still reconcile exactly — and bit-identically on a rerun.
         let cfg = OpenLoopConfig::new(3000, 11)
             .with_admission(AdmissionPolicy::QueueDepth { max_backlog: 32 })
             .with_retries(500.0, 3);
         let mut a1 = OpenLoopGen::constant(1e9);
-        let serial = run(&cfg, &mut a1);
+        let first = run(&cfg, &mut a1);
         let mut a2 = OpenLoopGen::constant(1e9);
-        let parallel = run(
-            &cfg.clone()
-                .with_execution(Execution::Parallel { threads: 2 }),
-            &mut a2,
-        );
-        assert!(serial.admit.depth_shed > 0, "overload must shed");
-        assert!(serial.retries > 0, "rejected attempts must be retried");
-        assert!(serial.gave_up > 0, "a bounded budget must give up");
-        serial.assert_conservation();
-        assert_eq!(serial, parallel, "execution modes diverged");
+        let second = run(&cfg, &mut a2);
+        assert!(first.admit.depth_shed > 0, "overload must shed");
+        assert!(first.retries > 0, "rejected attempts must be retried");
+        assert!(first.gave_up > 0, "a bounded budget must give up");
+        first.assert_conservation();
+        assert_eq!(first, second, "repeated run diverged");
     }
 
     #[test]

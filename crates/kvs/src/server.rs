@@ -86,9 +86,6 @@ pub struct ServerConfig {
     pub seed: u64,
     /// Fault-injection plan applied to offered requests.
     pub faults: FaultPlan,
-    /// Serial (reference) or parallel worker execution; results are
-    /// bit-identical either way.
-    pub execution: Execution,
     /// Hot-set migration mode (§8). When not [`MigrationMode::Off`],
     /// each serving core runs a [`HotMigrator`] over its hot area,
     /// which requires a placement with one hot area per core:
@@ -112,7 +109,6 @@ impl ServerConfig {
             get_permille,
             seed,
             faults: FaultPlan::none(),
-            execution: Execution::Serial,
             scheduler: Scheduler::default(),
             migration: MigrationMode::Off,
         }
@@ -130,13 +126,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = plan;
-        self
-    }
-
-    /// The same configuration with the given execution mode.
-    #[must_use]
-    pub fn with_execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
         self
     }
 
@@ -423,9 +412,8 @@ struct KvApp<'s> {
     /// This queue's hot-area monitor/migrator; `None` when the store's
     /// placement declares no hot area for this core. Access counting
     /// happens untimed in `on_packet`; the timed migration swaps run
-    /// only at epoch merges (see `epoch_migrate`) because index entries
-    /// of different key classes share cache lines, which worker shards
-    /// must not co-write.
+    /// only at epoch merges (see `epoch_migrate`), once every worker of
+    /// the epoch has polled.
     migrator: Option<HotMigrator>,
     hot_hits: u64,
     migrated: u64,
@@ -437,9 +425,9 @@ struct KvApp<'s> {
 
 impl KvApp<'_> {
     /// Runs this core's migration at an epoch merge when due. Called
-    /// from the engine's epoch hook on the coordinator, where the
-    /// machine is fully merged, so the timed swaps land on this core
-    /// identically in serial and parallel execution.
+    /// from the engine's epoch hook, after every worker of the epoch
+    /// has run, so the timed swaps land on this core at a fixed point
+    /// of the epoch.
     fn epoch_migrate(&mut self, mc: &mut MergeCtx<'_>) {
         let Some(mig) = &mut self.migrator else {
             return;
@@ -577,7 +565,7 @@ pub fn run_server(
         queue_depth: cfg.queue_depth,
         burst: cfg.burst,
         faults: cfg.faults.clone(),
-        execution: cfg.execution,
+        execution: Execution::Serial,
         admission: AdmissionPolicy::AcceptAll,
         scheduler: cfg.scheduler,
     };
@@ -589,10 +577,9 @@ pub fn run_server(
     };
     let mut eng = Engine::new(apps, ecfg, &mut hw);
     if cfg.migration != MigrationMode::Off {
-        // Migration runs at epoch merges on the coordinator: the merged
-        // machine is available there in both execution modes, so the
-        // timed swaps stay bit-identical serial vs. parallel. The hook
-        // moves no packets, hence 0.
+        // Migration runs at epoch merges, after every worker of the
+        // epoch, so the timed swaps land at a scheduler-independent
+        // point. The hook moves no packets, hence 0.
         eng.set_epoch_hook(Box::new(|apps, mc| {
             for app in apps.iter_mut() {
                 app.epoch_migrate(mc);

@@ -1,7 +1,6 @@
 //! The value store: index array + 64 B value slots.
 
 use llc_sim::addr::PhysAddr;
-use llc_sim::epoch::CoreMem;
 use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
 use llc_sim::mem::Region;
@@ -283,7 +282,7 @@ impl KvStore {
     }
 
     /// Timed index lookup: one memory access into the index array.
-    fn slot_of<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, key: u32) -> (usize, Cycles) {
+    fn slot_of(&self, m: &mut Machine, core: usize, key: u32) -> (usize, Cycles) {
         let mut b = [0u8; 4];
         let c = m.read_bytes(core, self.index.pa(key as usize * 4), &mut b);
         (u32::from_le_bytes(b) as usize, c)
@@ -291,20 +290,10 @@ impl KvStore {
 
     /// GET: index lookup + 64 B value read into `out`.
     ///
-    /// Generic over [`CoreMem`] so it can run against a per-worker
-    /// machine shard during engine epochs as well as a whole
-    /// [`Machine`].
-    ///
     /// # Panics
     ///
     /// Panics when `key` is out of range or `out` is shorter than 64 B.
-    pub fn get<M: CoreMem + ?Sized>(
-        &self,
-        m: &mut M,
-        core: usize,
-        key: u32,
-        out: &mut [u8],
-    ) -> Cycles {
+    pub fn get(&self, m: &mut Machine, core: usize, key: u32, out: &mut [u8]) -> Cycles {
         assert!((key as usize) < self.len(), "key out of range");
         let (slot, mut cycles) = self.slot_of(m, core, key);
         cycles += m.read_bytes(core, self.slots.line(slot), &mut out[..CACHE_LINE]);
@@ -315,21 +304,13 @@ impl KvStore {
     /// SET: index lookup + 64 B value write.
     ///
     /// Takes `&self`: the mutation lives entirely in simulated memory
-    /// (behind `m`), so concurrent workers may share one store as long
-    /// as their key classes are disjoint — the multi-queue partition of
-    /// §8, and the [`llc_sim::epoch::SharedMem`] write-disjointness
-    /// contract.
+    /// (behind `m`), so every worker shares one store; the multi-queue
+    /// runs of §8 give each queue a disjoint key class.
     ///
     /// # Panics
     ///
     /// Panics when `key` is out of range or `data` is shorter than 64 B.
-    pub fn set<M: CoreMem + ?Sized>(
-        &self,
-        m: &mut M,
-        core: usize,
-        key: u32,
-        data: &[u8],
-    ) -> Cycles {
+    pub fn set(&self, m: &mut Machine, core: usize, key: u32, data: &[u8]) -> Cycles {
         assert!((key as usize) < self.len(), "key out of range");
         let (slot, mut cycles) = self.slot_of(m, core, key);
         cycles += m.write_bytes(core, self.slots.line(slot), &data[..CACHE_LINE]);
@@ -353,10 +334,9 @@ impl KvStore {
     /// `a == b` is a free no-op (`Ok(0)`, no cycles charged); a key
     /// outside the store is a typed [`SwapError`], with no partial
     /// write and no cycles charged. Takes `&self` like [`KvStore::set`]:
-    /// the mutation lives entirely in simulated memory. Index entries of
-    /// different key classes share cache lines, so concurrent workers
-    /// must NOT swap during engine epochs — the migration loop runs at
-    /// the epoch merge, on the coordinator.
+    /// the mutation lives entirely in simulated memory. The server's
+    /// migration loop calls it at engine epoch merges, not from
+    /// `on_packet`.
     pub fn swap_keys(
         &self,
         m: &mut Machine,

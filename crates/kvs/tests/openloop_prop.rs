@@ -1,6 +1,6 @@
 //! Property test: the open-loop serving stack conserves every logical
-//! operation and every physical packet — and is bit-identical between
-//! serial and parallel execution — across a randomized grid of
+//! operation and every physical packet — and is bit-identical across
+//! repeated runs and both engine schedulers — across a randomized grid of
 //! scenarios: core counts, arrival processes (constant, Poisson, burst
 //! trains, flash crowds, ramps), deadlines, retry budgets, admission
 //! policies, and fault plans (everything but TX-stall, which the
@@ -12,11 +12,11 @@
 //! `offered == accepted + rejected`, `accepted == delivered + server
 //! drops`, `delivered == completed + late`). This test's job is to
 //! drive those asserts through a configuration space wide enough that
-//! nothing survives by coincidence, and to pin serial/parallel
-//! equivalence of the *entire report* per seed. A failure prints its
-//! iteration seed and replays exactly.
+//! nothing survives by coincidence, and to pin run-to-run and
+//! event-driven/reference-tick equivalence of the *entire report* per
+//! seed. A failure prints its iteration seed and replays exactly.
 
-use engine::{AdmissionPolicy, Execution};
+use engine::{AdmissionPolicy, Scheduler};
 use kvs::store::{KvStore, Placement};
 use kvs::{run_openloop, OpenLoopConfig, OpenLoopReport};
 use llc_sim::hash::{SliceHash, XorSliceHash};
@@ -92,8 +92,8 @@ fn draw(rng: &mut Rng64, seed: u64) -> Scenario {
     }
 }
 
-/// Builds the scenario's arrival generator. Called once per execution
-/// mode: generators are stateful, so each run needs a fresh, identical
+/// Builds the scenario's arrival generator. Called once per run:
+/// generators are stateful, so each run needs a fresh, identical
 /// instance.
 fn arrivals(s: &Scenario) -> OpenLoopGen {
     let horizon = OPS as f64 / s.rate_pps * 1e9;
@@ -124,38 +124,36 @@ fn run(cfg: &OpenLoopConfig, arr: &mut dyn Arrivals) -> OpenLoopReport {
 }
 
 #[test]
-fn random_scenarios_conserve_and_match_across_execution_modes() {
+fn random_scenarios_conserve_and_match_across_runs_and_schedulers() {
     let mut seeds = Rng64::seed_from_u64(0x0b5e_55ed);
     for iter in 0..16 {
         let seed = seeds.gen_range(0u32..u32::MAX) as u64;
         let mut rng = Rng64::seed_from_u64(seed);
         let s = draw(&mut rng, seed);
-        let threads = s.cfg.cores;
 
-        let serial = run(
-            &s.cfg.clone().with_execution(Execution::Serial),
-            &mut arrivals(&s),
-        );
-        let parallel = run(
-            &s.cfg
-                .clone()
-                .with_execution(Execution::Parallel { threads }),
-            &mut arrivals(&s),
-        );
+        let first = run(&s.cfg, &mut arrivals(&s));
+        let second = run(&s.cfg, &mut arrivals(&s));
+        let mut reference_cfg = s.cfg.clone();
+        reference_cfg.scheduler = Scheduler::ReferenceTick;
+        let reference = run(&reference_cfg, &mut arrivals(&s));
 
         // run_openloop asserted conservation internally; re-assert on
         // the returned reports so a future refactor can't silently
         // drop the internal check.
-        serial.assert_conservation();
-        parallel.assert_conservation();
+        first.assert_conservation();
+        reference.assert_conservation();
         assert_eq!(
-            serial, parallel,
-            "iteration {iter} (seed {seed:#x}): serial and parallel reports diverged"
+            first, second,
+            "iteration {iter} (seed {seed:#x}): repeated run diverged"
+        );
+        assert_eq!(
+            first, reference,
+            "iteration {iter} (seed {seed:#x}): event-driven and reference-tick reports diverged"
         );
         // Liveness: the retry loop must terminate with every logical op
         // resolved one way or the other, never wedged in flight.
         assert_eq!(
-            serial.completed + serial.gave_up,
+            first.completed + first.gave_up,
             OPS as u64,
             "iteration {iter} (seed {seed:#x}): unresolved logical ops"
         );

@@ -26,7 +26,6 @@
 
 use crate::addr::{split_lines, PhysAddr};
 use crate::cache::{low_ways, SetAssocCache};
-use crate::epoch::{EpochShard, LlcOp, SharedMem};
 use crate::hash::{FoldedSliceHash, MachineHash, SliceHash, XorSliceHash};
 use crate::machine::{HashConfig, InterconnectConfig, LlcMode, MachineConfig};
 use crate::mem::PhysMem;
@@ -553,115 +552,6 @@ impl Machine {
                 self.llc_insert(core, ev.line, ev.dirty);
                 if ev.dirty {
                     self.wb_debt[core] += u64::from(self.topo.llc_latency(core, s));
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Epoch-parallel execution (see [`crate::epoch`]).
-    // ------------------------------------------------------------------
-
-    /// Splits the machine into disjoint per-core [`EpochShard`]s for one
-    /// epoch of (possibly threaded) execution.
-    ///
-    /// While the returned shards are alive the machine is fully borrowed;
-    /// each shard owns its core's private caches, clock, write-back debt
-    /// and streamer, shares the LLC read-only and physical memory through
-    /// a raw view. After running the shards, feed each shard's
-    /// [`EpochShard::into_log`] to [`Machine::replay_llc`] in canonical
-    /// worker order to merge the deferred LLC effects.
-    ///
-    /// Callers must keep concurrent shards' memory *writes* disjoint (see
-    /// the safety contract in [`crate::epoch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a core index is out of range or listed twice.
-    pub fn epoch_shards(&mut self, cores: &[usize]) -> Vec<EpochShard<'_>> {
-        for (i, &c) in cores.iter().enumerate() {
-            assert!(c < self.cfg.cores, "core {c} out of range");
-            assert!(
-                !cores[..i].contains(&c),
-                "core {c} requested twice in one epoch"
-            );
-        }
-        let mem = SharedMem::new(&mut self.mem);
-        let cfg = &self.cfg;
-        let hash = &self.hash;
-        let topo = &self.topo;
-        let llc: &[SetAssocCache] = &self.llc;
-        let mut l1: Vec<Option<&mut SetAssocCache>> = self.l1.iter_mut().map(Some).collect();
-        let mut l2: Vec<Option<&mut SetAssocCache>> = self.l2.iter_mut().map(Some).collect();
-        let mut clock: Vec<Option<&mut u64>> = self.clock.iter_mut().map(Some).collect();
-        let mut wb: Vec<Option<&mut u64>> = self.wb_debt.iter_mut().map(Some).collect();
-        let mut st: Vec<Option<&mut StreamerState>> = self.streamer.iter_mut().map(Some).collect();
-        cores
-            .iter()
-            .map(|&c| {
-                EpochShard::new(
-                    c,
-                    cfg,
-                    hash,
-                    topo,
-                    llc,
-                    mem,
-                    l1[c].take().expect("core split"),
-                    l2[c].take().expect("core split"),
-                    clock[c].take().expect("core split"),
-                    wb[c].take().expect("core split"),
-                    st[c].take().expect("core split"),
-                )
-            })
-            .collect()
-    }
-
-    /// Replays one shard's deferred-LLC event log against the live LLC,
-    /// attributing allocations (CAT mask, back-invalidation) to `core`.
-    ///
-    /// Decisions are made from replay-time state, so replaying all
-    /// shards' logs in canonical worker order reconstructs exactly the
-    /// state a serial execution of the same epoch would produce. No core
-    /// cycles move here — the shards already charged them.
-    pub fn replay_llc(&mut self, core: usize, ops: &[LlcOp]) {
-        for op in ops {
-            match *op {
-                LlcOp::Fetch { line } => {
-                    let s = self.hash.slice_of(PhysAddr(line << 6));
-                    self.uncore.on_lookup(s);
-                    if self.llc[s].lookup(line).is_none() {
-                        self.uncore.on_miss(s);
-                        if self.cfg.llc_mode == LlcMode::Inclusive {
-                            self.llc_insert(core, line, false);
-                        }
-                    }
-                }
-                LlcOp::L2Evict { line, dirty } => match self.cfg.llc_mode {
-                    LlcMode::Inclusive => {
-                        let s = self.hash.slice_of(PhysAddr(line << 6));
-                        if !self.llc[s].mark_dirty(line) {
-                            self.llc_insert(core, line, true);
-                        }
-                    }
-                    LlcMode::Victim => {
-                        self.llc_insert(core, line, dirty);
-                    }
-                },
-                LlcOp::Prefetch { line } => {
-                    let s = self.hash.slice_of(PhysAddr(line << 6));
-                    self.uncore.on_lookup(s);
-                    if !self.llc[s].probe(line) {
-                        self.uncore.on_miss(s);
-                        if self.cfg.llc_mode == LlcMode::Inclusive {
-                            self.llc_insert(core, line, false);
-                        }
-                    } else {
-                        self.llc[s].lookup(line);
-                    }
-                }
-                LlcOp::DmaProbe { line } => {
-                    let s = self.hash.slice_of(PhysAddr(line << 6));
-                    self.uncore.on_lookup(s);
                 }
             }
         }

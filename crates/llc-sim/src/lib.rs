@@ -22,6 +22,12 @@
 //! * **Physical memory** ([`mem`]): hugepage reservations with a
 //!   deterministic physical layout and pagemap-style VA→PA queries.
 //!
+//! Every core's accesses go through the one [`Machine`]: there is no
+//! per-core copy of the LLC. Multi-core workloads (the `engine` crate's
+//! workers) interleave their accesses in a deterministic order on a
+//! single thread, so each access sees every fill and eviction that
+//! preceded it, including other cores'.
+//!
 //! The model is *behavioural*, not cycle-accurate: every memory operation
 //! returns the number of core cycles it cost, calibrated against the
 //! latencies the paper reports (L1 4, L2 11, LLC ≈ 34 + ring hops, DRAM
@@ -46,9 +52,10 @@
 //! assert!(slice < 8);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod cache;
-pub mod epoch;
 pub mod hash;
 pub mod hierarchy;
 pub mod machine;
@@ -60,6 +67,5 @@ pub mod tsc;
 pub mod uncore;
 
 pub use addr::{PhysAddr, CACHE_LINE};
-pub use epoch::{CoreMem, EpochShard, LlcOp};
 pub use hierarchy::{AccessKind, Cycles};
 pub use machine::{Machine, MachineConfig};

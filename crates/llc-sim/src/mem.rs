@@ -171,12 +171,6 @@ impl PhysMem {
         self.next = (self.next + bytes as u64).min(self.capacity);
     }
 
-    /// The raw backing bytes, for [`crate::epoch::SharedMem`]'s
-    /// cross-shard view.
-    pub(crate) fn raw_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes
-    }
-
     /// Reads `buf.len()` bytes at `pa` (no timing — see
     /// [`crate::machine::Machine`] for timed access).
     ///

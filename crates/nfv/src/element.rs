@@ -2,19 +2,14 @@
 //! (FastClick/Metron style, §5).
 
 use llc_sim::addr::PhysAddr;
-use llc_sim::epoch::CoreMem;
 use llc_sim::hierarchy::Cycles;
+use llc_sim::machine::Machine;
 use trafficgen::FlowTuple;
 
 /// Per-core processing context.
-///
-/// The memory view is a [`CoreMem`] trait object so the same chain code
-/// runs against a whole [`llc_sim::machine::Machine`] (direct use,
-/// unit tests) and against a per-core
-/// [`llc_sim::epoch::EpochShard`] inside engine epochs.
 pub struct Ctx<'a> {
-    /// The simulated machine (or a per-core epoch shard of it).
-    pub m: &'a mut (dyn CoreMem + 'a),
+    /// The simulated machine.
+    pub m: &'a mut Machine,
     /// The core this chain instance runs on.
     pub core: usize,
 }
@@ -98,10 +93,7 @@ pub enum Action {
 }
 
 /// A packet-processing element.
-///
-/// `Send` because chains are owned by per-worker [`engine::QueueApp`]
-/// instances, which may run on worker threads during parallel epochs.
-pub trait Element: Send {
+pub trait Element {
     /// Processes one packet, returning the action and the cycles spent.
     fn process(&mut self, ctx: &mut Ctx<'_>, pkt: &mut Pkt) -> (Action, Cycles);
 
@@ -168,7 +160,7 @@ impl Default for ServiceChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_sim::machine::{Machine, MachineConfig};
+    use llc_sim::machine::MachineConfig;
 
     struct CountingElement {
         calls: u64,

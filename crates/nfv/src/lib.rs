@@ -44,6 +44,8 @@
 //! assert!(p99 > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod element;
 pub mod elements;
 pub mod lpm;

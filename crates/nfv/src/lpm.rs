@@ -10,7 +10,6 @@
 //! exhibits.
 
 use llc_sim::addr::PhysAddr;
-use llc_sim::epoch::CoreMem;
 use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
 use llc_sim::mem::{MemError, Region};
@@ -85,12 +84,7 @@ impl Lpm {
     }
 
     /// Timed data-path lookup: one memory access plus index arithmetic.
-    pub fn lookup<M: CoreMem + ?Sized>(
-        &self,
-        m: &mut M,
-        core: usize,
-        dst: u32,
-    ) -> (Option<u16>, Cycles) {
+    pub fn lookup(&self, m: &mut Machine, core: usize, dst: u32) -> (Option<u16>, Cycles) {
         let mut b = [0u8; 2];
         let mut cycles = m.read_bytes(core, self.slot_pa(dst), &mut b);
         m.advance(core, LOOKUP_WORK);

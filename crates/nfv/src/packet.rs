@@ -6,7 +6,6 @@
 //! which is precisely the 64 B window CacheDirector places.
 
 use llc_sim::addr::PhysAddr;
-use llc_sim::epoch::CoreMem;
 use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
 use trafficgen::FlowTuple;
@@ -81,8 +80,8 @@ pub struct ParsedHeader {
 /// the frame is too short for an Ethernet+IPv4+TCP prefix, is not IPv4,
 /// has IP options (unsupported here), or claims an IP total length that
 /// does not fit in the frame (a mid-packet truncation).
-pub fn parse_header<M: CoreMem + ?Sized>(
-    m: &mut M,
+pub fn parse_header(
+    m: &mut Machine,
     core: usize,
     data_pa: PhysAddr,
     frame_len: usize,
@@ -124,7 +123,7 @@ pub const PARSE_WORK: Cycles = 30;
 
 /// Swaps source and destination MAC addresses in place (timed) — the
 /// §5.1 simple-forwarding application.
-pub fn mac_swap<M: CoreMem + ?Sized>(m: &mut M, core: usize, data_pa: PhysAddr) -> Cycles {
+pub fn mac_swap(m: &mut Machine, core: usize, data_pa: PhysAddr) -> Cycles {
     let mut macs = [0u8; 12];
     let mut cycles = m.read_bytes(core, data_pa, &mut macs);
     let (dst, src) = macs.split_at_mut(6);
@@ -135,12 +134,7 @@ pub fn mac_swap<M: CoreMem + ?Sized>(m: &mut M, core: usize, data_pa: PhysAddr) 
 
 /// Rewrites the IPv4 destination address (timed) — the load balancer's
 /// action.
-pub fn rewrite_dst_ip<M: CoreMem + ?Sized>(
-    m: &mut M,
-    core: usize,
-    data_pa: PhysAddr,
-    new_ip: u32,
-) -> Cycles {
+pub fn rewrite_dst_ip(m: &mut Machine, core: usize, data_pa: PhysAddr, new_ip: u32) -> Cycles {
     let mut c = m.write_bytes(core, data_pa.add(30), &new_ip.to_be_bytes());
     // Incremental checksum update.
     m.advance(core, CSUM_WORK);
@@ -149,12 +143,7 @@ pub fn rewrite_dst_ip<M: CoreMem + ?Sized>(
 }
 
 /// Rewrites the transport source port (timed) — NAPT's action.
-pub fn rewrite_src_port<M: CoreMem + ?Sized>(
-    m: &mut M,
-    core: usize,
-    data_pa: PhysAddr,
-    new_port: u16,
-) -> Cycles {
+pub fn rewrite_src_port(m: &mut Machine, core: usize, data_pa: PhysAddr, new_port: u16) -> Cycles {
     let mut c = m.write_bytes(core, data_pa.add(34), &new_port.to_be_bytes());
     m.advance(core, CSUM_WORK);
     c += CSUM_WORK;
@@ -162,7 +151,7 @@ pub fn rewrite_src_port<M: CoreMem + ?Sized>(
 }
 
 /// Decrements TTL in place (timed) — the router's action.
-pub fn decrement_ttl<M: CoreMem + ?Sized>(m: &mut M, core: usize, data_pa: PhysAddr) -> Cycles {
+pub fn decrement_ttl(m: &mut Machine, core: usize, data_pa: PhysAddr) -> Cycles {
     let mut ttl = [0u8; 1];
     let mut c = m.read_bytes(core, data_pa.add(22), &mut ttl);
     ttl[0] = ttl[0].saturating_sub(1);

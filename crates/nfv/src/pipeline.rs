@@ -58,8 +58,6 @@ pub struct PipelineConfig {
     pub stage_cycles: u64,
     /// RNG seed.
     pub seed: u64,
-    /// Serial or parallel worker execution (bit-identical either way).
-    pub execution: Execution,
     /// Event-driven virtual-time scheduling (default) or the engine's
     /// reference tick-stepper; reports are bit-identical either way
     /// (only `EngineReport::sched` differs).
@@ -77,16 +75,8 @@ impl PipelineConfig {
             burst: 32,
             stage_cycles: 300,
             seed: 0x99,
-            execution: Execution::Serial,
             scheduler: Scheduler::default(),
         }
-    }
-
-    /// Sets the execution mode.
-    #[must_use]
-    pub fn with_execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
-        self
     }
 }
 
@@ -118,9 +108,8 @@ struct Handoff {
 /// outbox. The queue-less worker runs [`StageApp::Stage2`]: it drains
 /// its inbox ring in the [`QueueApp::pump`] hook, runs the stateful
 /// elements, and transmits. The cross-core handoff — outbox to inbox —
-/// happens in the engine's epoch hook, at the serialization point after
-/// the merge, so both workers can safely run on concurrent shards
-/// during the epoch itself.
+/// happens in the engine's epoch hook after the merge, so stage 2 sees
+/// stage 1's output with epoch granularity.
 enum StageApp {
     /// RX + parse + first element; hands off via `outbox`.
     Stage1 {
@@ -289,7 +278,7 @@ pub fn run_pipeline(
         queue_depth: cfg.queue_depth,
         burst: cfg.burst,
         faults: FaultPlan::none(),
-        execution: cfg.execution,
+        execution: Execution::Serial,
         admission: AdmissionPolicy::AcceptAll,
         scheduler: cfg.scheduler,
     };

@@ -186,9 +186,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Injected faults (default: none).
     pub faults: FaultPlan,
-    /// Serial (reference) or parallel worker execution; results are
-    /// bit-identical either way.
-    pub execution: Execution,
     /// Event-driven virtual-time scheduling (default) or the engine's
     /// reference tick-stepper; reports are bit-identical either way
     /// (only `EngineReport::sched` differs).
@@ -215,7 +212,6 @@ impl RunConfig {
             nic_rate_mpps: Some(14.2),
             seed: 0x0dfe_11ce,
             faults: FaultPlan::none(),
-            execution: Execution::Serial,
             scheduler: Scheduler::default(),
         }
     }
@@ -223,13 +219,6 @@ impl RunConfig {
     /// The same configuration with a fault plan attached.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// The same configuration with the given execution mode.
-    #[must_use]
-    pub fn with_execution(mut self, execution: Execution) -> Self {
-        self.execution = execution;
         self
     }
 }
@@ -290,7 +279,7 @@ impl Policy {
 /// instance, run under the engine's polling loop. Latency and
 /// chain-cause drop accounting live here; the NIC-side ledger lives in
 /// the engine. One `ChainApp` exists per worker so instances own their
-/// state outright and can run on worker threads during parallel epochs.
+/// state outright.
 struct ChainApp {
     chain: ServiceChain,
     framework_cycles: u64,
@@ -456,7 +445,7 @@ impl Testbed {
             queue_depth: cfg.queue_depth,
             burst: cfg.burst,
             faults: cfg.faults.clone(),
-            execution: cfg.execution,
+            execution: Execution::Serial,
             admission: AdmissionPolicy::AcceptAll,
             scheduler: cfg.scheduler,
         };
@@ -618,7 +607,6 @@ mod tests {
             nic_rate_mpps: None,
             seed: 7,
             faults: FaultPlan::none(),
-            execution: Execution::Serial,
             scheduler: Scheduler::default(),
         }
     }

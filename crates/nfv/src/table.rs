@@ -7,7 +7,6 @@
 //! stateful NFs comes from.
 
 use llc_sim::addr::PhysAddr;
-use llc_sim::epoch::CoreMem;
 use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
 use llc_sim::mem::{MemError, Region};
@@ -108,12 +107,7 @@ impl FlowTable {
     }
 
     /// Timed lookup. Returns the value and the cycles spent probing.
-    pub fn lookup<M: CoreMem + ?Sized>(
-        &self,
-        m: &mut M,
-        core: usize,
-        flow: &FlowTuple,
-    ) -> (Option<u64>, Cycles) {
+    pub fn lookup(&self, m: &mut Machine, core: usize, flow: &FlowTuple) -> (Option<u64>, Cycles) {
         let key = pack_key(flow);
         let h = hash_key(&key) as usize;
         m.advance(core, HASH_WORK);
@@ -138,9 +132,9 @@ impl FlowTable {
     }
 
     /// Timed insert (or overwrite). Returns the cycles spent.
-    pub fn insert<M: CoreMem + ?Sized>(
+    pub fn insert(
         &mut self,
-        m: &mut M,
+        m: &mut Machine,
         core: usize,
         flow: &FlowTuple,
         value: u64,
@@ -172,9 +166,9 @@ impl FlowTable {
 
     /// Timed lookup that inserts `make()`'s value on a miss — the
     /// standard per-flow state pattern of NAPT/LB.
-    pub fn lookup_or_insert_with<M: CoreMem + ?Sized>(
+    pub fn lookup_or_insert_with(
         &mut self,
-        m: &mut M,
+        m: &mut Machine,
         core: usize,
         flow: &FlowTuple,
         make: impl FnOnce() -> u64,

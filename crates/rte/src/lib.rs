@@ -57,6 +57,8 @@
 //! assert_eq!(port.stats().tx_pkts, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod mbuf;
 pub mod mempool;
@@ -67,6 +69,6 @@ pub mod steering;
 pub use fault::{Axis, FaultPlan, FaultState, FrameFault, Window};
 pub use mbuf::{MbufMeta, MBUF_META_SIZE};
 pub use mempool::MbufPool;
-pub use nic::{tx_wire, FixedHeadroom, HeadroomPolicy, Port, RxCompletion, RxView};
+pub use nic::{tx_wire, FixedHeadroom, HeadroomPolicy, Port, RxCompletion};
 pub use ring::Ring;
 pub use steering::{FlowDirector, Rss, Steering};

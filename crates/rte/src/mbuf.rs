@@ -14,8 +14,8 @@
 //! thing. [`MbufMeta`] is the typed overlay.
 
 use llc_sim::addr::PhysAddr;
-use llc_sim::epoch::CoreMem;
 use llc_sim::hierarchy::Cycles;
+use llc_sim::machine::Machine;
 
 /// Size of the mbuf metadata struct: two cache lines (Fig. 9).
 pub const MBUF_META_SIZE: usize = 128;
@@ -70,73 +70,73 @@ impl MbufMeta {
     }
 
     /// Reads `data_off` (headroom size).
-    pub fn data_off<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
+    pub fn data_off(&self, m: &mut Machine, core: usize) -> (u16, Cycles) {
         let mut b = [0u8; 2];
         let c = m.read_bytes(core, self.base.add(off::DATA_OFF as u64), &mut b);
         (u16::from_le_bytes(b), c)
     }
 
     /// Writes `data_off`.
-    pub fn set_data_off<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
+    pub fn set_data_off(&self, m: &mut Machine, core: usize, v: u16) -> Cycles {
         m.write_bytes(core, self.base.add(off::DATA_OFF as u64), &v.to_le_bytes())
     }
 
     /// Reads the segment data length.
-    pub fn data_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
+    pub fn data_len(&self, m: &mut Machine, core: usize) -> (u16, Cycles) {
         let mut b = [0u8; 2];
         let c = m.read_bytes(core, self.base.add(off::DATA_LEN as u64), &mut b);
         (u16::from_le_bytes(b), c)
     }
 
     /// Writes the segment data length.
-    pub fn set_data_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
+    pub fn set_data_len(&self, m: &mut Machine, core: usize, v: u16) -> Cycles {
         m.write_bytes(core, self.base.add(off::DATA_LEN as u64), &v.to_le_bytes())
     }
 
     /// Reads the total packet length.
-    pub fn pkt_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u32, Cycles) {
+    pub fn pkt_len(&self, m: &mut Machine, core: usize) -> (u32, Cycles) {
         let mut b = [0u8; 4];
         let c = m.read_bytes(core, self.base.add(off::PKT_LEN as u64), &mut b);
         (u32::from_le_bytes(b), c)
     }
 
     /// Writes the total packet length.
-    pub fn set_pkt_len<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u32) -> Cycles {
+    pub fn set_pkt_len(&self, m: &mut Machine, core: usize, v: u32) -> Cycles {
         m.write_bytes(core, self.base.add(off::PKT_LEN as u64), &v.to_le_bytes())
     }
 
     /// Reads `udata64` (CacheDirector's per-core headroom table).
-    pub fn udata64<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u64, Cycles) {
+    pub fn udata64(&self, m: &mut Machine, core: usize) -> (u64, Cycles) {
         let (v, c) = m.read_u64(core, self.base.add(off::UDATA64 as u64));
         (v, c)
     }
 
     /// Writes `udata64`.
-    pub fn set_udata64<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u64) -> Cycles {
+    pub fn set_udata64(&self, m: &mut Machine, core: usize, v: u64) -> Cycles {
         m.write_u64(core, self.base.add(off::UDATA64 as u64), v)
     }
 
     /// Reads the input port id.
-    pub fn port<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
+    pub fn port(&self, m: &mut Machine, core: usize) -> (u16, Cycles) {
         let mut b = [0u8; 2];
         let c = m.read_bytes(core, self.base.add(off::PORT as u64), &mut b);
         (u16::from_le_bytes(b), c)
     }
 
     /// Writes the input port id.
-    pub fn set_port<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
+    pub fn set_port(&self, m: &mut Machine, core: usize, v: u16) -> Cycles {
         m.write_bytes(core, self.base.add(off::PORT as u64), &v.to_le_bytes())
     }
 
     /// Reads the input queue id.
-    pub fn queue<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize) -> (u16, Cycles) {
+    pub fn queue(&self, m: &mut Machine, core: usize) -> (u16, Cycles) {
         let mut b = [0u8; 2];
         let c = m.read_bytes(core, self.base.add(off::QUEUE as u64), &mut b);
         (u16::from_le_bytes(b), c)
     }
 
     /// Writes the input queue id.
-    pub fn set_queue<M: CoreMem + ?Sized>(&self, m: &mut M, core: usize, v: u16) -> Cycles {
+    pub fn set_queue(&self, m: &mut Machine, core: usize, v: u16) -> Cycles {
         m.write_bytes(core, self.base.add(off::QUEUE as u64), &v.to_le_bytes())
     }
 }
@@ -164,7 +164,7 @@ pub fn unpack_headroom_lines(udata: u64, core: usize) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_sim::machine::{Machine, MachineConfig};
+    use llc_sim::machine::MachineConfig;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(16 << 20))

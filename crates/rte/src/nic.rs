@@ -21,7 +21,6 @@ use crate::mempool::MbufPool;
 use crate::ring::Ring;
 use crate::steering::Steering;
 use llc_sim::addr::PhysAddr;
-use llc_sim::epoch::CoreMem;
 use llc_sim::hierarchy::Cycles;
 use llc_sim::machine::Machine;
 use trafficgen::FlowTuple;
@@ -444,25 +443,15 @@ impl Port {
         max: usize,
     ) -> (Vec<RxCompletion>, Cycles) {
         let batch = self.queues[q].ready.dequeue_burst(max);
-        let cycles = fill_rx_meta(m, pool, self.id, q, core, &batch);
+        let mut cycles = 0;
+        for c in &batch {
+            let meta = pool.meta(c.mbuf);
+            cycles += meta.set_data_len(m, core, c.len);
+            cycles += meta.set_pkt_len(m, core, u32::from(c.len));
+            cycles += meta.set_port(m, core, self.id);
+            cycles += meta.set_queue(m, core, q as u16);
+        }
         (batch, cycles)
-    }
-
-    /// Splits the port's RX queues into per-queue [`RxView`]s, one per
-    /// queue, for worker-side polling during an engine epoch. While the
-    /// views are alive the port is fully borrowed; stats and posted rings
-    /// stay coordinator-side.
-    pub fn rx_views(&mut self) -> Vec<RxView<'_>> {
-        let id = self.id;
-        self.queues
-            .iter_mut()
-            .enumerate()
-            .map(|(q, rq)| RxView {
-                port_id: id,
-                queue: q,
-                ready: &mut rq.ready,
-            })
-            .collect()
     }
 
     /// PMD: transmits frames and recycles their buffers. The NIC DMA-reads
@@ -470,7 +459,8 @@ impl Port {
     /// charged to `core`.
     ///
     /// Equivalent to [`tx_wire`] (the worker-side, timed half) followed by
-    /// [`Port::tx_commit`] (the coordinator-side stats + recycle half).
+    /// [`Port::tx_commit`] (the stats + recycle half, deferred to the
+    /// engine's epoch merge).
     pub fn tx_burst(
         &mut self,
         m: &mut Machine,
@@ -483,7 +473,7 @@ impl Port {
         cycles
     }
 
-    /// The coordinator-side half of a transmit: counts the frames and
+    /// The merge-side half of a transmit: counts the frames and
     /// recycles their buffers. The timed wire work ([`tx_wire`]) must have
     /// been charged on the transmitting core already.
     pub fn tx_commit(&mut self, pool: &mut MbufPool, frames: &[TxDesc]) {
@@ -496,10 +486,10 @@ impl Port {
 }
 
 /// The worker-side half of a transmit: the per-descriptor doorbell store
-/// (timed on `core`) and the NIC's DMA read of each frame. Carries no
-/// port state so it can run inside an engine epoch; pair with
-/// [`Port::tx_commit`] at the merge.
-pub fn tx_wire<M: CoreMem + ?Sized>(m: &mut M, core: usize, frames: &[TxDesc]) -> Cycles {
+/// (timed on `core`) and the NIC's DMA read of each frame. Touches no
+/// port state: the engine runs it in the worker's poll and defers
+/// [`Port::tx_commit`] to the epoch merge.
+pub fn tx_wire(m: &mut Machine, core: usize, frames: &[TxDesc]) -> Cycles {
     let mut cycles = 0;
     let mut scratch = vec![0u8; 2048];
     for d in frames {
@@ -508,66 +498,6 @@ pub fn tx_wire<M: CoreMem + ?Sized>(m: &mut M, core: usize, frames: &[TxDesc]) -
         m.dma_read(d.data_pa, &mut scratch[..d.len as usize]);
     }
     cycles
-}
-
-/// Fills RX metadata for a harvested batch (timed on `core`) — the
-/// driver-side cost shared by [`Port::rx_burst`] and [`RxView::rx_burst`].
-fn fill_rx_meta<M: CoreMem + ?Sized>(
-    m: &mut M,
-    pool: &MbufPool,
-    port_id: u16,
-    q: usize,
-    core: usize,
-    batch: &[RxCompletion],
-) -> Cycles {
-    let mut cycles = 0;
-    for c in batch {
-        let meta = pool.meta(c.mbuf);
-        cycles += meta.set_data_len(m, core, c.len);
-        cycles += meta.set_pkt_len(m, core, u32::from(c.len));
-        cycles += meta.set_port(m, core, port_id);
-        cycles += meta.set_queue(m, core, q as u16);
-    }
-    cycles
-}
-
-/// A worker-owned view of one RX queue's completion ring, split out of a
-/// [`Port`] with [`Port::rx_views`] for the duration of an engine epoch.
-///
-/// Only the polling half of the driver lives here; posting, refill and
-/// delivery stay on the coordinator, so the view is `Send` and disjoint
-/// from every other queue's state.
-#[derive(Debug)]
-pub struct RxView<'a> {
-    port_id: u16,
-    queue: usize,
-    ready: &'a mut Ring<RxCompletion>,
-}
-
-impl RxView<'_> {
-    /// The queue this view polls.
-    pub fn queue(&self) -> usize {
-        self.queue
-    }
-
-    /// Completions currently waiting.
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// PMD: harvests up to `max` completions and fills the mbuf metadata
-    /// (timed on `core`) — [`Port::rx_burst`] against the split view.
-    pub fn rx_burst<M: CoreMem + ?Sized>(
-        &mut self,
-        m: &mut M,
-        pool: &MbufPool,
-        core: usize,
-        max: usize,
-    ) -> (Vec<RxCompletion>, Cycles) {
-        let batch = self.ready.dequeue_burst(max);
-        let cycles = fill_rx_meta(m, pool, self.port_id, self.queue, core, &batch);
-        (batch, cycles)
-    }
 }
 
 #[cfg(test)]

@@ -42,6 +42,8 @@
 //! assert!(buf.lines().iter().all(|&pa| m.slice_of(pa) == target));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod isolation;
 pub mod latency;

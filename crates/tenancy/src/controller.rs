@@ -7,9 +7,9 @@
 //! to [`IsolationController::observe`] and nothing else — while
 //! [`crate::run`] feeds it from the engine's control hook and applies
 //! the returned [`ControlAction`]s to the machine. Purity is what makes
-//! the loop deterministic across schedulers and execution modes: the
-//! observations (windowed latency percentiles, uncore fill deltas) are
-//! bit-identical in every mode, so the decision sequence is too.
+//! the loop deterministic across schedulers: the observations (windowed
+//! latency percentiles, uncore fill deltas) are bit-identical under
+//! both, so the decision sequence is too.
 //!
 //! The policy mirrors what §8 of the paper suggests an operator should
 //! do by hand, closed over the monitoring loop of §5:

@@ -19,7 +19,9 @@
 //! * [`run`] — the chaos harness: scenario, control hook, reports.
 //!
 //! Everything is deterministic: [`run::run_tenancy`] reports are
-//! bit-identical across schedulers and execution modes.
+//! bit-identical across repeated runs and schedulers.
+
+#![forbid(unsafe_code)]
 
 pub mod apps;
 pub mod controller;

@@ -48,11 +48,11 @@
 //! # Determinism
 //!
 //! Control epochs fire at fixed virtual times in both schedulers;
-//! observations are derived from merged machine state and canonical-
-//! order outcome logs; the controller is a pure function of its
-//! observations. Reports are therefore bit-identical across
-//! {event-driven, reference-tick} × {serial, parallel} — asserted by
-//! the repo's determinism battery and the `fig_tenants` golden.
+//! observations are derived from machine state and canonical-order
+//! outcome logs; the controller is a pure function of its observations.
+//! Reports are therefore bit-identical across the event-driven and
+//! reference-tick schedulers — asserted by the repo's determinism
+//! battery and the `fig_tenants` golden.
 
 use crate::apps::{PhasedGaps, TenantApp, TenantKind};
 use crate::controller::{ControllerConfig, IsolationController};
@@ -185,8 +185,6 @@ pub struct TenancyConfig {
     /// Arrivals per *victim* tenant (the antagonist derives its own
     /// count from the shared horizon).
     pub packets: usize,
-    /// Serial or parallel worker execution (bit-identical reports).
-    pub execution: Execution,
     /// Event-driven or reference-tick scheduling (bit-identical
     /// reports).
     pub scheduler: Scheduler,
@@ -205,7 +203,6 @@ impl TenancyConfig {
         Self {
             regime,
             packets,
-            execution: Execution::Serial,
             scheduler: Scheduler::default(),
             faults: FaultPlan::none(),
             seed: 0x007e_4a47,
@@ -487,7 +484,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         queue_depth: 64,
         burst: 32,
         faults: cfg.faults.clone(),
-        execution: cfg.execution,
+        execution: Execution::Serial,
         admission: AdmissionPolicy::AcceptAll,
         scheduler: cfg.scheduler,
     };

@@ -1,9 +1,9 @@
 //! The multi-tenant SLO-defense battery: the online controller must
 //! strictly beat the static even split for every victim tenant, never
-//! starve anyone, stay bit-identical across schedulers and execution
-//! modes, and compose with injected NIC faults.
+//! starve anyone, stay bit-identical across repeated runs and
+//! schedulers, and compose with injected NIC faults.
 
-use engine::{Execution, Scheduler};
+use engine::Scheduler;
 use rte::fault::{FaultPlan, Window};
 use tenancy::run::{run_tenancy, Regime, TenancyConfig, FLOOR_WAYS};
 
@@ -87,75 +87,64 @@ fn online_controller_strictly_beats_static_even_for_every_victim() {
 }
 
 #[test]
-fn reports_are_bit_identical_across_schedulers_and_execution_modes() {
+fn reports_are_bit_identical_across_schedulers_and_runs() {
     let base = TenancyConfig::new(Regime::Online, SMOKE);
     let mut golden: Option<String> = None;
     for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-        for execution in [
-            Execution::Serial,
-            Execution::Parallel { threads: 2 },
-            Execution::Parallel { threads: 4 },
-        ] {
+        for run in 0..2 {
             let cfg = TenancyConfig {
                 scheduler,
-                execution,
                 ..base.clone()
             };
             let rep = format!("{:?}", run_tenancy(&cfg));
             match &golden {
                 None => golden = Some(rep),
-                Some(g) => assert_eq!(g, &rep, "report diverged under {scheduler:?}/{execution:?}"),
+                Some(g) => assert_eq!(g, &rep, "report diverged under {scheduler:?} (run {run})"),
             }
         }
     }
 }
 
 #[test]
-fn per_tenant_ledgers_partition_the_aggregate_in_both_execution_modes() {
-    for execution in [Execution::Serial, Execution::Parallel { threads: 2 }] {
-        let cfg = TenancyConfig {
-            execution,
-            ..TenancyConfig::new(Regime::Online, SMOKE)
-        };
-        let rep = run_tenancy(&cfg);
-        assert_eq!(rep.per_group.len(), rep.tenants.len());
-        for (group, tenant) in rep.per_group.iter().zip(&rep.tenants) {
-            // The group ledger is the tenant's ledger: the engine's
-            // counts match the harness's own bookkeeping...
-            assert_eq!(group.offered, tenant.offered, "{}", tenant.name);
-            assert_eq!(group.delivered, tenant.served, "{}", tenant.name);
-            assert_eq!(
-                group.nic.total() + group.admit.total(),
-                tenant.rejected,
-                "{}",
-                tenant.name
-            );
-            // ...and each satisfies conservation on its own: every
-            // offered frame is accounted for within the tenant.
-            assert_eq!(
-                group.offered + group.carried,
-                group.delivered
-                    + group.nic.total()
-                    + group.admit.total()
-                    + group.app_drops
-                    + group.in_flight,
-                "{}: tenant ledger leaks frames",
-                tenant.name
-            );
-        }
-        // The partition is exact: per-tenant ledgers sum to the run's
-        // totals, so no frame is double-counted across tenants.
-        let total_offered: u64 = rep.per_group.iter().map(|g| g.offered).sum();
-        let total_delivered: u64 = rep.per_group.iter().map(|g| g.delivered).sum();
+fn per_tenant_ledgers_partition_the_aggregate() {
+    let rep = run_tenancy(&TenancyConfig::new(Regime::Online, SMOKE));
+    assert_eq!(rep.per_group.len(), rep.tenants.len());
+    for (group, tenant) in rep.per_group.iter().zip(&rep.tenants) {
+        // The group ledger is the tenant's ledger: the engine's
+        // counts match the harness's own bookkeeping...
+        assert_eq!(group.offered, tenant.offered, "{}", tenant.name);
+        assert_eq!(group.delivered, tenant.served, "{}", tenant.name);
         assert_eq!(
-            total_offered,
-            rep.tenants.iter().map(|t| t.offered).sum::<u64>()
+            group.nic.total() + group.admit.total(),
+            tenant.rejected,
+            "{}",
+            tenant.name
         );
+        // ...and each satisfies conservation on its own: every
+        // offered frame is accounted for within the tenant.
         assert_eq!(
-            total_delivered,
-            rep.tenants.iter().map(|t| t.served).sum::<u64>()
+            group.offered + group.carried,
+            group.delivered
+                + group.nic.total()
+                + group.admit.total()
+                + group.app_drops
+                + group.in_flight,
+            "{}: tenant ledger leaks frames",
+            tenant.name
         );
     }
+    // The partition is exact: per-tenant ledgers sum to the run's
+    // totals, so no frame is double-counted across tenants.
+    let total_offered: u64 = rep.per_group.iter().map(|g| g.offered).sum();
+    let total_delivered: u64 = rep.per_group.iter().map(|g| g.delivered).sum();
+    assert_eq!(
+        total_offered,
+        rep.tenants.iter().map(|t| t.offered).sum::<u64>()
+    );
+    assert_eq!(
+        total_delivered,
+        rep.tenants.iter().map(|t| t.served).sum::<u64>()
+    );
 }
 
 #[test]

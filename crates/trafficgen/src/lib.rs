@@ -32,6 +32,8 @@
 //!   recorded or synthesized traces drive the open-loop run loops with
 //!   their original inter-arrival structure.
 
+#![forbid(unsafe_code)]
+
 pub mod arrival;
 pub mod flow;
 pub mod openloop;

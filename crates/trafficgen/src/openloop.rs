@@ -6,8 +6,7 @@
 //! own schedule regardless of what the server absorbs, which is what
 //! creates genuine overload (the fig15 knee, flash crowds). Every
 //! generator here is a pure function of its seed and configuration —
-//! no wall clock, no global state — so runs replay bit-identically in
-//! serial and parallel execution.
+//! no wall clock, no global state — so runs replay bit-identically.
 //!
 //! A [`RateProfile`] reshapes the *instantaneous* rate over simulated
 //! time: `multiplier_at(t)` scales the base rate, so a square-wave

@@ -12,6 +12,8 @@
 //! Everything is plain, allocation-light `f64` math with no external
 //! dependencies, so the simulator crates can use it freely from hot paths.
 
+#![forbid(unsafe_code)]
+
 pub mod cdf;
 pub mod fit;
 pub mod hist;

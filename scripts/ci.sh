@@ -6,7 +6,6 @@
 #                         # self-tests + determinism
 #   scripts/ci.sh full    # ...plus release build, bench-harness check,
 #                         # and a --smoke run of every figure binary
-#                         # (serial AND --parallel)
 #   scripts/ci.sh smoke   # only the figure-binary smoke runs
 #   scripts/ci.sh det     # only the determinism gate
 set -euo pipefail
@@ -28,52 +27,60 @@ smoke() {
     for bin in "${bins[@]}"; do
         echo "    -> ${bin}"
         "./target/release/${bin}" --smoke > /dev/null
-        "./target/release/${bin}" --smoke --parallel > /dev/null
     done
     # The §8 hot-set migration study: a skewed multi-core run that must
     # migrate (its golden pins hot-hit-rate above static Striped and a
-    # non-zero migration-cycle ledger), in both execution modes.
+    # non-zero migration-cycle ledger).
     echo "    -> fig08_kvs (migration study)"
     ./target/release/fig08_kvs --smoke --zipf=0.99 --migrate=4096 --cores=4 > /dev/null
-    ./target/release/fig08_kvs --smoke --parallel --zipf=0.99 --migrate=4096 --cores=4 > /dev/null
-    # The cost-aware migration churn study, in both execution modes,
-    # with the acceptance invariant pinned: the cost-aware controller
+    # The cost-aware migration churn study, with the acceptance
+    # invariant pinned: the cost-aware controller
     # must execute ZERO swaps at a projected loss (its golden also pins
     # the full table, but this assertion survives golden re-records).
     echo "    -> fig08_kvs (churn study)"
     local churn_out
     churn_out="$(./target/release/fig08_kvs --smoke --zipf=0.99 --churn=4096 --cores=4 2>/dev/null)"
-    ./target/release/fig08_kvs --smoke --parallel --zipf=0.99 --churn=4096 --cores=4 > /dev/null
     if ! grep -q '^cost-aware swaps at a projected loss: 0 ' <<<"${churn_out}"; then
         echo "FAIL: cost-aware migration executed swaps at a projected loss" >&2
         grep 'projected loss' <<<"${churn_out}" >&2 || true
         exit 1
     fi
     # The overload chaos scenario: flash crowd + link flap + RX stall,
-    # graceful degradation and recovery, in both execution modes.
+    # graceful degradation and recovery.
     echo "    -> fig_knee_kvs (chaos scenario)"
     ./target/release/fig_knee_kvs --smoke --chaos > /dev/null
-    ./target/release/fig_knee_kvs --smoke --parallel --chaos > /dev/null
 }
 
-# Determinism gate: the differential suite (serial vs parallel AND
+# The engine has one execution path. Fail if the removed threaded-mode
+# flag reappears in the figure binaries or the scripts that drive them.
+# (The pattern is split so this file does not match itself.)
+single_path() {
+    echo "==> single execution path: no threaded-mode flag"
+    local flag="--""parallel"
+    if grep -rn -e "${flag}" scripts crates/bench/src run_all_experiments.sh; then
+        echo "FAIL: ${flag} reappeared" >&2
+        exit 1
+    fi
+}
+
+# Determinism gate: the differential suite (repeated runs AND
 # event-driven vs reference tick-stepper), a byte-level double-run diff
-# of an engine-backed figure binary under --parallel, a byte-level
-# scheduler diff (the event-driven scheduler must print the same stdout
-# as the retained tick-stepper), and the pinned epoch ceiling (the
-# empty-epoch tax must stay dead).
+# of an engine-backed figure binary, a byte-level scheduler diff (the
+# event-driven scheduler must print the same stdout as the retained
+# tick-stepper), and the pinned epoch ceiling (the empty-epoch tax must
+# stay dead).
 det() {
-    echo "==> determinism: differential suite (serial/parallel + reference/event-driven)"
+    echo "==> determinism: differential suite (repeated runs + reference/event-driven)"
     cargo test -p engine --test differential -q
     # Same suite single-threaded: harness scheduling must not matter.
     cargo test -p engine --test differential -q -- --test-threads=1
-    echo "==> determinism: double-run diff of fig08_kvs --smoke --parallel"
+    echo "==> determinism: double-run diff of fig08_kvs --smoke"
     cargo build --release -q -p bench
     local out_a out_b
     out_a="$(mktemp)"
     out_b="$(mktemp)"
-    ./target/release/fig08_kvs --smoke --parallel --cores=4 > "$out_a"
-    ./target/release/fig08_kvs --smoke --parallel --cores=4 > "$out_b"
+    ./target/release/fig08_kvs --smoke --cores=4 > "$out_a"
+    ./target/release/fig08_kvs --smoke --cores=4 > "$out_b"
     diff -u "$out_a" "$out_b"
     echo "==> determinism: scheduler diff of fig08_kvs --smoke (event vs reference)"
     ./target/release/fig08_kvs --smoke --cores=4 --scheduler=reference > "$out_b"
@@ -81,17 +88,17 @@ det() {
     diff -u "$out_b" "$out_a"
     # The multi-tenant controller study: the stateful isolation control
     # loop (streaks, cooldown, DDIO calm counter) must also be invisible
-    # to scheduler choice and worker threading, at the byte level.
-    echo "==> determinism: scheduler+mode diff of fig_tenants --smoke"
+    # to scheduler choice, at the byte level.
+    echo "==> determinism: scheduler diff of fig_tenants --smoke"
     ./target/release/fig_tenants --smoke > "$out_a"
-    ./target/release/fig_tenants --smoke --parallel --scheduler=reference > "$out_b"
+    ./target/release/fig_tenants --smoke --scheduler=reference > "$out_b"
     diff -u "$out_a" "$out_b"
     # The scale study: streamed sketch quantiles, trace replay, and the
-    # migrator must all be invisible to scheduler choice and worker
-    # threading, at the byte level.
-    echo "==> determinism: scheduler+mode diff of fig_scale_kvs --smoke"
+    # migrator must all be invisible to scheduler choice, at the byte
+    # level.
+    echo "==> determinism: scheduler diff of fig_scale_kvs --smoke"
     ./target/release/fig_scale_kvs --smoke > "$out_a"
-    ./target/release/fig_scale_kvs --smoke --parallel --scheduler=reference > "$out_b"
+    ./target/release/fig_scale_kvs --smoke --scheduler=reference > "$out_b"
     diff -u "$out_a" "$out_b"
     rm -f "$out_a" "$out_b"
     echo "==> scheduler: pinned epoch ceiling on fig08_kvs --smoke --cores=4"
@@ -119,6 +126,8 @@ if [[ "${1:-}" == "det" ]]; then
     echo "CI OK"
     exit 0
 fi
+
+single_path
 
 echo "==> rustfmt (check only)"
 cargo fmt --all --check

@@ -1,1 +1,3 @@
 //! Meta crate re-exporting the workspace (see README).
+
+#![forbid(unsafe_code)]

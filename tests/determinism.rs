@@ -1,15 +1,18 @@
 //! Real-application differential determinism: the NFV run-to-completion
-//! chain, the two-stage pipelined chain, and the KVS server each run the
-//! same workload under [`Execution::Serial`] and
-//! [`Execution::Parallel`], and the *complete* results — every counter,
-//! every recorded latency sample — must be bit-identical.
+//! chain, the two-stage pipelined chain, the KVS server and the
+//! multi-tenant harness each run the same workload twice under the
+//! event-driven scheduler and once under the reference tick-stepper,
+//! and the *complete* results — every counter, every recorded latency
+//! sample — must be bit-identical.
 //!
 //! The engine-level grid lives in `crates/engine/tests/differential.rs`;
 //! this file proves the property survives the real applications' state
 //! (flow tables, LPM lookups, the shared KV store, cross-core
-//! handoffs).
+//! handoffs). Test names ending in `serial_vs_parallel` predate the
+//! engine's single execution path; each now checks repeated runs and
+//! both schedulers.
 
-use engine::{Execution, Scheduler};
+use engine::Scheduler;
 use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig, ServerReport};
 use kvs::store::{KvStore, Placement};
@@ -30,7 +33,7 @@ fn nfv_run(
     steering: SteeringKind,
     chain: ChainSpec,
     faulty: bool,
-    execution: Execution,
+    scheduler: Scheduler,
 ) -> RunResult {
     let mut cfg = RunConfig::paper_defaults(
         chain,
@@ -42,7 +45,7 @@ fn nfv_run(
     cfg.cores = cores;
     cfg.queue_depth = 64;
     cfg.mbufs = (4 * cores * 64) as u32;
-    cfg.execution = execution;
+    cfg.scheduler = scheduler;
     if faulty {
         cfg.faults = FaultPlan::frame_indexed()
             .with_seed(11)
@@ -78,49 +81,46 @@ fn nfv_chain_results_are_identical_serial_vs_parallel() {
             true,
         ),
     ] {
-        let serial = nfv_run(cores, steering, chain, faulty, Execution::Serial);
-        for threads in [1usize, 2, cores] {
-            let par = nfv_run(
-                cores,
-                steering,
-                chain,
-                faulty,
-                Execution::Parallel { threads },
-            );
-            // `RunResult` carries f64 latency vectors; Debug formatting
-            // captures every bit that matters and makes the diff
-            // readable on failure.
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{par:?}"),
-                "nfv cores={cores} {steering:?} faulty={faulty}: \
-                 parallel({threads}) diverged"
-            );
-        }
+        let run = |scheduler| nfv_run(cores, steering, chain, faulty, scheduler);
+        // `RunResult` carries f64 latency vectors; Debug formatting
+        // captures every bit that matters and makes the diff readable
+        // on failure.
+        let first = format!("{:?}", run(Scheduler::EventDriven));
+        assert_eq!(
+            first,
+            format!("{:?}", run(Scheduler::EventDriven)),
+            "nfv cores={cores} {steering:?} faulty={faulty}: repeated run diverged"
+        );
+        assert_eq!(
+            first,
+            format!("{:?}", run(Scheduler::ReferenceTick)),
+            "nfv cores={cores} {steering:?} faulty={faulty}: reference tick-stepper diverged"
+        );
     }
 }
 
 #[test]
 fn pipelined_chain_results_are_identical_serial_vs_parallel() {
     for headroom in [PipelineHeadroom::Stock, PipelineHeadroom::Compromise] {
-        let run = |execution: Execution| {
-            run_pipeline(
-                &PipelineConfig::new(headroom).with_execution(execution),
-                64,
-                2_000_000.0,
-                6_000,
-            )
-            .expect("config fits")
+        let run = |scheduler: Scheduler| {
+            let cfg = PipelineConfig {
+                scheduler,
+                ..PipelineConfig::new(headroom)
+            };
+            let res = run_pipeline(&cfg, 64, 2_000_000.0, 6_000).expect("config fits");
+            format!("{res:?}")
         };
-        let serial = run(Execution::Serial);
-        for threads in [1usize, 2, 3] {
-            let par = run(Execution::Parallel { threads });
-            assert_eq!(
-                format!("{serial:?}"),
-                format!("{par:?}"),
-                "pipeline {headroom:?}: parallel({threads}) diverged"
-            );
-        }
+        let first = run(Scheduler::EventDriven);
+        assert_eq!(
+            first,
+            run(Scheduler::EventDriven),
+            "pipeline {headroom:?}: repeated run diverged"
+        );
+        assert_eq!(
+            first,
+            run(Scheduler::ReferenceTick),
+            "pipeline {headroom:?}: reference tick-stepper diverged"
+        );
     }
 }
 
@@ -128,11 +128,9 @@ fn pipelined_chain_results_are_identical_serial_vs_parallel() {
 /// client generator per queue. With migration on, the placement becomes
 /// StripedHot, clients scramble their keys, and every core runs the
 /// hot-set migration loop at engine-epoch boundaries — the timed swaps
-/// go through the coordinator-side merge hook, which this suite must
-/// prove bit-identical across execution modes (and, for the cost-aware
-/// controller, across schedulers too).
+/// go through the merge hook, which this suite must prove bit-identical
+/// across repeated runs and schedulers.
 fn kvs_run_on(
-    execution: Execution,
     scheduler: Scheduler,
     migration: MigrationMode,
     theta: f64,
@@ -171,9 +169,7 @@ fn kvs_run_on(
         })
         .collect();
     let mut policy = FixedHeadroom(128);
-    let mut cfg = ServerConfig::fig8(requests, 900, 1)
-        .with_cores(cores)
-        .with_execution(execution);
+    let mut cfg = ServerConfig::fig8(requests, 900, 1).with_cores(cores);
     cfg.scheduler = scheduler;
     cfg.migration = migration;
     run_server(
@@ -187,54 +183,42 @@ fn kvs_run_on(
     )
 }
 
-/// Shorthand for the pre-existing cases: event-driven scheduling, the
-/// always-migrate policy at epoch 500 when `migrate` is set.
-fn kvs_run(execution: Execution, migrate: bool, theta: f64) -> ServerReport {
+/// Runs the KVS case (the always-migrate policy at epoch 500 when
+/// `migrate` is set) twice under the event-driven scheduler and once
+/// under the reference tick-stepper, asserts the three reports are
+/// bit-identical (compared via Debug, so every field counts), and
+/// returns the first.
+fn kvs_reproducible(migrate: bool, theta: f64, what: &str) -> ServerReport {
     let migration = if migrate {
         MigrationMode::Always { epoch: 500 }
     } else {
         MigrationMode::Off
     };
-    kvs_run_on(execution, Scheduler::EventDriven, migration, theta, 6_000)
+    let run = |scheduler| kvs_run_on(scheduler, migration, theta, 6_000);
+    let first = run(Scheduler::EventDriven);
+    for (scheduler, label) in [
+        (Scheduler::EventDriven, "repeated run"),
+        (Scheduler::ReferenceTick, "reference tick-stepper"),
+    ] {
+        assert_eq!(
+            format!("{first:?}"),
+            format!("{:?}", run(scheduler)),
+            "{what}: {label} diverged"
+        );
+    }
+    first
 }
 
 #[test]
 fn kvs_server_results_are_identical_serial_vs_parallel() {
-    let serial = kvs_run(Execution::Serial, false, 0.99);
-    for threads in [1usize, 2, 4] {
-        let par = kvs_run(Execution::Parallel { threads }, false, 0.99);
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{par:?}"),
-            "kvs: parallel({threads}) diverged"
-        );
-    }
-    // And parallel is reproducible against itself.
-    let a = kvs_run(Execution::Parallel { threads: 4 }, false, 0.99);
-    let b = kvs_run(Execution::Parallel { threads: 4 }, false, 0.99);
-    assert_eq!(format!("{a:?}"), format!("{b:?}"), "kvs parallel repeat");
+    kvs_reproducible(false, 0.99, "kvs");
 }
 
 #[test]
 fn kvs_migration_results_are_identical_serial_vs_parallel() {
     // Skewed keys: real migration traffic through the merge hook.
-    let serial = kvs_run(Execution::Serial, true, 0.99);
-    assert!(serial.migrated > 0, "the skewed case must actually migrate");
-    for threads in [1usize, 2, 4] {
-        let par = kvs_run(Execution::Parallel { threads }, true, 0.99);
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{par:?}"),
-            "kvs migrate zipf: parallel({threads}) diverged"
-        );
-    }
-    let a = kvs_run(Execution::Parallel { threads: 4 }, true, 0.99);
-    let b = kvs_run(Execution::Parallel { threads: 4 }, true, 0.99);
-    assert_eq!(
-        format!("{a:?}"),
-        format!("{b:?}"),
-        "kvs migrate parallel repeat"
-    );
+    let rep = kvs_reproducible(true, 0.99, "kvs migrate zipf");
+    assert!(rep.migrated > 0, "the skewed case must actually migrate");
 }
 
 #[test]
@@ -249,13 +233,7 @@ fn kvs_cost_aware_migration_is_identical_across_modes_and_schedulers() {
     // clear the ~800-cycle measured swap cost while the tail stays
     // below it, so every decision path (execute, veto, ledger) is live.
     let mode = MigrationMode::CostAware { epoch: 1000 };
-    let reference = kvs_run_on(
-        Execution::Serial,
-        Scheduler::EventDriven,
-        mode,
-        0.99,
-        12_000,
-    );
+    let reference = kvs_run_on(Scheduler::EventDriven, mode, 0.99, 12_000);
     assert!(
         reference.migrated > 0,
         "the skewed cost-aware case must actually migrate"
@@ -269,18 +247,12 @@ fn kvs_cost_aware_migration_is_identical_across_modes_and_schedulers() {
         "cost-aware must never execute a swap at a projected loss"
     );
     for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-        for execution in [
-            Execution::Serial,
-            Execution::Parallel { threads: 2 },
-            Execution::Parallel { threads: 4 },
-        ] {
-            let run = kvs_run_on(execution, scheduler, mode, 0.99, 12_000);
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{run:?}"),
-                "kvs cost-aware: {execution:?} under {scheduler:?} diverged"
-            );
-        }
+        let run = kvs_run_on(scheduler, mode, 0.99, 12_000);
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{run:?}"),
+            "kvs cost-aware: {scheduler:?} run diverged"
+        );
     }
 }
 
@@ -290,22 +262,13 @@ fn kvs_migration_with_tied_counts_is_identical_serial_vs_parallel() {
     // any HashMap-iteration-order dependence in the migrator's
     // promote/evict ordering would diverge here. The (count, key) total
     // order must keep it bit-identical.
-    let serial = kvs_run(Execution::Serial, true, 0.0);
-    assert!(serial.migrated > 0, "uniform churn must still migrate");
-    for threads in [1usize, 2, 4] {
-        let par = kvs_run(Execution::Parallel { threads }, true, 0.0);
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{par:?}"),
-            "kvs migrate uniform ties: parallel({threads}) diverged"
-        );
-    }
+    let rep = kvs_reproducible(true, 0.0, "kvs migrate uniform ties");
+    assert!(rep.migrated > 0, "uniform churn must still migrate");
 }
 
-/// The multi-tenant chaos harness at one mode point.
-fn tenancy_run(execution: Execution, scheduler: Scheduler) -> tenancy::run::TenancyReport {
+/// The multi-tenant chaos harness under one scheduler.
+fn tenancy_run(scheduler: Scheduler) -> tenancy::run::TenancyReport {
     let cfg = tenancy::run::TenancyConfig {
-        execution,
         scheduler,
         ..tenancy::run::TenancyConfig::new(tenancy::run::Regime::Online, 6_000)
     };
@@ -317,29 +280,22 @@ fn tenancy_controller_results_are_identical_across_modes_and_schedulers() {
     // The isolation controller is stateful across control epochs
     // (streaks, cooldown, calm counter, the held-p99 series), and its
     // observations come from worker-produced latency logs and merged
-    // uncore counters — the maximal surface for a scheduler- or
-    // thread-count dependence to leak in. The full report (per-tenant
-    // ledgers, violation integrals, every controller action count) must
-    // be bit-identical across the grid.
-    let reference = tenancy_run(Execution::Serial, Scheduler::EventDriven);
+    // uncore counters — the maximal surface for a scheduler dependence
+    // to leak in. The full report (per-tenant ledgers, violation
+    // integrals, every controller action count) must be bit-identical
+    // across repeated runs and both schedulers.
+    let reference = tenancy_run(Scheduler::EventDriven);
     assert!(
         reference.moves > 0 && reference.ddio_shrinks > 0,
         "the online case must actually exercise the controller"
     );
     for scheduler in [Scheduler::EventDriven, Scheduler::ReferenceTick] {
-        for execution in [
-            Execution::Serial,
-            Execution::Parallel { threads: 1 },
-            Execution::Parallel { threads: 2 },
-            Execution::Parallel { threads: 4 },
-        ] {
-            let run = tenancy_run(execution, scheduler);
-            assert_eq!(
-                format!("{reference:?}"),
-                format!("{run:?}"),
-                "tenancy: {execution:?} under {scheduler:?} diverged"
-            );
-        }
+        let run = tenancy_run(scheduler);
+        assert_eq!(
+            format!("{reference:?}"),
+            format!("{run:?}"),
+            "tenancy: {scheduler:?} run diverged"
+        );
     }
 }
 
@@ -348,39 +304,34 @@ fn tenancy_per_tenant_ledgers_partition_the_aggregate_identities() {
     // Aggregate conservation must equal the sum of per-tenant
     // identities: each tenant's group ledger balances on its own, and
     // the groups sum to the run's totals — no frame is lost between or
-    // double-counted across tenants. Checked in both execution modes.
-    for execution in [Execution::Serial, Execution::Parallel { threads: 2 }] {
-        let rep = tenancy_run(execution, Scheduler::EventDriven);
-        let mut sums = (0u64, 0u64, 0u64, 0u64);
-        for (group, tenant) in rep.per_group.iter().zip(&rep.tenants) {
-            assert_eq!(
-                group.offered + group.carried,
-                group.delivered
-                    + group.nic.total()
-                    + group.admit.total()
-                    + group.app_drops
-                    + group.in_flight,
-                "{} ({execution:?}): tenant ledger leaks frames",
-                tenant.name
-            );
-            assert_eq!(group.offered, tenant.offered);
-            assert_eq!(group.delivered, tenant.served);
-            sums.0 += group.offered;
-            sums.1 += group.delivered;
-            sums.2 += group.nic.total() + group.admit.total();
-            sums.3 += group.app_drops + group.in_flight + group.carried;
-        }
-        let offered: u64 = rep.tenants.iter().map(|t| t.offered).sum();
-        let served: u64 = rep.tenants.iter().map(|t| t.served).sum();
-        let rejected: u64 = rep.tenants.iter().map(|t| t.rejected).sum();
-        assert_eq!(sums.0, offered, "{execution:?}: offered partition broken");
-        assert_eq!(sums.1, served, "{execution:?}: delivered partition broken");
+    // double-counted across tenants.
+    let rep = tenancy_run(Scheduler::EventDriven);
+    let mut sums = (0u64, 0u64, 0u64, 0u64);
+    for (group, tenant) in rep.per_group.iter().zip(&rep.tenants) {
         assert_eq!(
-            sums.2, rejected,
-            "{execution:?}: rejection partition broken"
+            group.offered + group.carried,
+            group.delivered
+                + group.nic.total()
+                + group.admit.total()
+                + group.app_drops
+                + group.in_flight,
+            "{}: tenant ledger leaks frames",
+            tenant.name
         );
-        // The run has fully drained: nothing is still queued, in flight,
-        // or silently dropped inside an app across any tenant.
-        assert_eq!(sums.3, 0, "{execution:?}: residual frames after drain");
+        assert_eq!(group.offered, tenant.offered);
+        assert_eq!(group.delivered, tenant.served);
+        sums.0 += group.offered;
+        sums.1 += group.delivered;
+        sums.2 += group.nic.total() + group.admit.total();
+        sums.3 += group.app_drops + group.in_flight + group.carried;
     }
+    let offered: u64 = rep.tenants.iter().map(|t| t.offered).sum();
+    let served: u64 = rep.tenants.iter().map(|t| t.served).sum();
+    let rejected: u64 = rep.tenants.iter().map(|t| t.rejected).sum();
+    assert_eq!(sums.0, offered, "offered partition broken");
+    assert_eq!(sums.1, served, "delivered partition broken");
+    assert_eq!(sums.2, rejected, "rejection partition broken");
+    // The run has fully drained: nothing is still queued, in flight,
+    // or silently dropped inside an app across any tenant.
+    assert_eq!(sums.3, 0, "residual frames after drain");
 }

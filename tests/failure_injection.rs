@@ -2,7 +2,6 @@
 //! degenerate configurations must degrade gracefully, never corrupt
 //! accounting.
 
-use engine::Execution;
 use nfv::runtime::{run_experiment, ChainSpec, HeadroomMode, RunConfig, SteeringKind};
 use rte::fault::FaultPlan;
 use trafficgen::{ArrivalSchedule, CampusTrace, FlowTuple};
@@ -24,7 +23,6 @@ fn starved_mbuf_pool_drops_but_conserves() {
         nic_rate_mpps: None,
         seed: 1,
         faults: FaultPlan::none(),
-        execution: Execution::Serial,
         scheduler: engine::Scheduler::default(),
     };
     let mut trace = CampusTrace::fixed_size(64, 64, 1);
@@ -51,7 +49,6 @@ fn single_core_single_descriptor() {
         nic_rate_mpps: None,
         seed: 2,
         faults: FaultPlan::none(),
-        execution: Execution::Serial,
         scheduler: engine::Scheduler::default(),
     };
     let mut trace = CampusTrace::fixed_size(64, 4, 2);
@@ -117,7 +114,6 @@ fn zero_route_table_drops_everything() {
         nic_rate_mpps: None,
         seed: 3,
         faults: FaultPlan::none(),
-        execution: Execution::Serial,
         scheduler: engine::Scheduler::default(),
     };
     let mut trace = CampusTrace::fixed_size(64, 32, 3);

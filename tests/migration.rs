@@ -18,7 +18,6 @@
 //!    the profitable head) and the always-migrate policy (it refuses
 //!    the unprofitable tail) on transactions per second.
 
-use engine::Execution;
 use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig, ServerReport};
 use kvs::store::{KvStore, Placement};
@@ -32,16 +31,12 @@ use slice_aware::alloc::SliceAllocator;
 use trafficgen::{PhaseGen, PhaseSchedule, ZipfGen};
 
 /// A 4-core StripedHot server run with migration, scrambled Zipf keys.
-fn migrated_run(execution: Execution) -> ServerReport {
-    migrated_run_with(execution, MigrationMode::Always { epoch: 800 }, 10_000)
+fn migrated_run() -> ServerReport {
+    migrated_run_with(MigrationMode::Always { epoch: 800 }, 10_000)
 }
 
 /// [`migrated_run`] parameterized over migration mode and load.
-fn migrated_run_with(
-    execution: Execution,
-    migration: MigrationMode,
-    requests: usize,
-) -> ServerReport {
+fn migrated_run_with(migration: MigrationMode, requests: usize) -> ServerReport {
     let cores = 4;
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(512 << 20));
     let region = m.mem_mut().alloc(32 << 20, 1 << 20).unwrap();
@@ -72,9 +67,7 @@ fn migrated_run_with(
         })
         .collect();
     let mut policy = FixedHeadroom(128);
-    let mut cfg = ServerConfig::fig8(requests, 900, 1)
-        .with_cores(cores)
-        .with_execution(execution);
+    let mut cfg = ServerConfig::fig8(requests, 900, 1).with_cores(cores);
     cfg.migration = migration;
     run_server(
         &mut m,
@@ -89,87 +82,67 @@ fn migrated_run_with(
 
 #[test]
 fn migration_ledger_sums_exactly_across_queues() {
-    for execution in [Execution::Serial, Execution::Parallel { threads: 4 }] {
-        let rep = migrated_run(execution);
-        assert!(rep.migrated > 0, "{execution:?}: the run must migrate");
-        assert!(rep.migration_cycles > 0, "{execution:?}: swaps are timed");
-        assert!(rep.hot_hits > 0, "{execution:?}: hits must register");
-        let (mut mig, mut cyc, mut hits) = (0u64, 0u64, 0u64);
-        for qr in &rep.per_queue {
-            assert!(
-                qr.migrated > 0,
-                "{execution:?}: queue {} never migrated",
-                qr.queue
-            );
-            assert!(
-                qr.migration_cycles <= qr.busy_cycles,
-                "{execution:?}: queue {} migration outside busy time",
-                qr.queue
-            );
-            assert_eq!(
-                qr.offered + qr.carried,
-                qr.served + qr.drops.total() + qr.in_flight,
-                "{execution:?}: queue {} conservation",
-                qr.queue
-            );
-            mig += qr.migrated;
-            cyc += qr.migration_cycles;
-            hits += qr.hot_hits;
-        }
-        assert_eq!(
-            mig, rep.migrated,
-            "{execution:?}: migrated must sum exactly"
+    let rep = migrated_run();
+    assert!(rep.migrated > 0, "the run must migrate");
+    assert!(rep.migration_cycles > 0, "swaps are timed");
+    assert!(rep.hot_hits > 0, "hits must register");
+    let (mut mig, mut cyc, mut hits) = (0u64, 0u64, 0u64);
+    for qr in &rep.per_queue {
+        assert!(qr.migrated > 0, "queue {} never migrated", qr.queue);
+        assert!(
+            qr.migration_cycles <= qr.busy_cycles,
+            "queue {} migration outside busy time",
+            qr.queue
         );
         assert_eq!(
-            cyc, rep.migration_cycles,
-            "{execution:?}: migration_cycles must sum exactly"
+            qr.offered + qr.carried,
+            qr.served + qr.drops.total() + qr.in_flight,
+            "queue {} conservation",
+            qr.queue
         );
-        assert_eq!(
-            hits, rep.hot_hits,
-            "{execution:?}: hot_hits must sum exactly"
-        );
+        mig += qr.migrated;
+        cyc += qr.migration_cycles;
+        hits += qr.hot_hits;
     }
+    assert_eq!(mig, rep.migrated, "migrated must sum exactly");
+    assert_eq!(
+        cyc, rep.migration_cycles,
+        "migration_cycles must sum exactly"
+    );
+    assert_eq!(hits, rep.hot_hits, "hot_hits must sum exactly");
 }
 
 #[test]
 fn cost_aware_ledger_partitions_and_never_swaps_at_a_loss() {
-    for execution in [Execution::Serial, Execution::Parallel { threads: 4 }] {
-        let rep = migrated_run_with(execution, MigrationMode::CostAware { epoch: 1000 }, 12_000);
-        assert!(rep.migrated > 0, "{execution:?}: the head must migrate");
-        assert!(
-            rep.swaps_vetoed > 0,
-            "{execution:?}: the Zipf tail must be vetoed"
-        );
+    let rep = migrated_run_with(MigrationMode::CostAware { epoch: 1000 }, 12_000);
+    assert!(rep.migrated > 0, "the head must migrate");
+    assert!(rep.swaps_vetoed > 0, "the Zipf tail must be vetoed");
+    assert_eq!(
+        rep.swaps_at_loss, 0,
+        "cost-aware never executes at a projected loss"
+    );
+    let (mut mig, mut cyc, mut hits) = (0u64, 0u64, 0u64);
+    let (mut vet, mut def, mut loss) = (0u64, 0u64, 0u64);
+    for qr in &rep.per_queue {
         assert_eq!(
-            rep.swaps_at_loss, 0,
-            "{execution:?}: cost-aware never executes at a projected loss"
+            qr.offered + qr.carried,
+            qr.served + qr.drops.total() + qr.in_flight,
+            "queue {} conservation",
+            qr.queue
         );
-        let (mut mig, mut cyc, mut hits) = (0u64, 0u64, 0u64);
-        let (mut vet, mut def, mut loss) = (0u64, 0u64, 0u64);
-        for qr in &rep.per_queue {
-            assert_eq!(
-                qr.offered + qr.carried,
-                qr.served + qr.drops.total() + qr.in_flight,
-                "{execution:?}: queue {} conservation",
-                qr.queue
-            );
-            mig += qr.migrated;
-            cyc += qr.migration_cycles;
-            hits += qr.hot_hits;
-            vet += qr.swaps_vetoed;
-            def += qr.swaps_deferred;
-            loss += qr.swaps_at_loss;
-        }
-        assert_eq!(mig, rep.migrated, "{execution:?}: migrated partition");
-        assert_eq!(
-            cyc, rep.migration_cycles,
-            "{execution:?}: migration_cycles partition"
-        );
-        assert_eq!(hits, rep.hot_hits, "{execution:?}: hot_hits partition");
-        assert_eq!(vet, rep.swaps_vetoed, "{execution:?}: vetoed partition");
-        assert_eq!(def, rep.swaps_deferred, "{execution:?}: deferred partition");
-        assert_eq!(loss, rep.swaps_at_loss, "{execution:?}: at-loss partition");
+        mig += qr.migrated;
+        cyc += qr.migration_cycles;
+        hits += qr.hot_hits;
+        vet += qr.swaps_vetoed;
+        def += qr.swaps_deferred;
+        loss += qr.swaps_at_loss;
     }
+    assert_eq!(mig, rep.migrated, "migrated partition");
+    assert_eq!(cyc, rep.migration_cycles, "migration_cycles partition");
+    assert_eq!(hits, rep.hot_hits, "hot_hits partition");
+    assert_eq!(vet, rep.swaps_vetoed, "vetoed partition");
+    assert_eq!(def, rep.swaps_deferred, "deferred partition");
+    assert_eq!(loss, rep.swaps_at_loss, "at-loss partition");
 }
 
 #[test]
@@ -283,9 +256,7 @@ fn churn_run(migration: MigrationMode) -> ServerReport {
         })
         .collect();
     let mut policy = FixedHeadroom(128);
-    let mut cfg = ServerConfig::fig8(72_000, 900, 1)
-        .with_cores(cores)
-        .with_execution(Execution::Serial);
+    let mut cfg = ServerConfig::fig8(72_000, 900, 1).with_cores(cores);
     cfg.migration = migration;
     run_server(
         &mut m,
