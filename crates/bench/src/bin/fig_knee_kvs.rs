@@ -21,7 +21,8 @@
 //! Per rate the report shows goodput, p99/p999 completion latency,
 //! SLO-violation time ([`xstats::slo_violation_ns`] over the completion
 //! series), and the logical/physical ledgers (sheds, expiries, retries,
-//! give-ups) whose conservation `run_openloop` asserts on every run.
+//! give-ups) whose conservation `run_openloop_streaming` asserts on
+//! every run.
 //!
 //! `--chaos` instead runs one long Poisson run at ~65 % load with a
 //! ×4 flash crowd, a link flap, and an RX stall injected mid-run, and
@@ -33,7 +34,7 @@
 
 use engine::AdmissionPolicy;
 use kvs::store::{KvStore, Placement};
-use kvs::{run_openloop, OpenLoopConfig, OpenLoopReport};
+use kvs::{run_openloop_streaming, OpenLoopConfig, OpenLoopReport};
 use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use rte::fault::{FaultPlan, Window};
@@ -97,9 +98,16 @@ impl Mode {
     }
 }
 
+/// One open-loop experiment: the report plus every completed op's
+/// `(completion ns, latency ns)` record, in processing order.
+struct Run {
+    rep: OpenLoopReport,
+    completions: Vec<(f64, f64)>,
+}
+
 /// Builds a fresh machine/store/port and runs one open-loop experiment
 /// (open-loop completion matching needs a fresh port per run).
-fn run_one(cfg: &OpenLoopConfig, arrivals: &mut dyn Arrivals) -> OpenLoopReport {
+fn run_one(cfg: &OpenLoopConfig, arrivals: &mut dyn Arrivals) -> Run {
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
     let region = m.mem_mut().alloc(16 << 20, 1 << 20).unwrap();
     let h = XorSliceHash::haswell_8slice();
@@ -109,7 +117,8 @@ fn run_one(cfg: &OpenLoopConfig, arrivals: &mut dyn Arrivals) -> OpenLoopReport 
         .expect("pool sized to the ring");
     let mut port = Port::new(0, Steering::Rss(Rss::new(cfg.cores)), cfg.queue_depth);
     let mut policy = FixedHeadroom(128);
-    run_openloop(
+    let mut completions = Vec::new();
+    let rep = run_openloop_streaming(
         &mut m,
         &store,
         &mut pool,
@@ -117,13 +126,15 @@ fn run_one(cfg: &OpenLoopConfig, arrivals: &mut dyn Arrivals) -> OpenLoopReport 
         &mut policy,
         arrivals,
         cfg,
-    )
+        &mut completions,
+    );
+    Run { rep, completions }
 }
 
 /// The completion series `(t, latency)` sorted by completion time — the
 /// step function `slo_violation_ns` integrates over.
-fn completion_series(rep: &OpenLoopReport) -> Vec<(f64, f64)> {
-    let mut s = rep.completions.clone();
+fn completion_series(run: &Run) -> Vec<(f64, f64)> {
+    let mut s = run.completions.clone();
     s.sort_by(|a, b| a.partial_cmp(b).expect("finite completion records"));
     s
 }
@@ -134,16 +145,16 @@ fn completion_series(rep: &OpenLoopReport) -> Vec<(f64, f64)> {
 /// tail after the last arrival, which at smoke scale would dilute
 /// every overloaded point by a constant; the completion window is the
 /// measure that converges at any run length.
-fn goodput_mops(rep: &OpenLoopReport) -> f64 {
-    let end = rep.completions.iter().map(|&(t, _)| t).fold(0.0, f64::max);
+fn goodput_mops(run: &Run) -> f64 {
+    let end = run.completions.iter().map(|&(t, _)| t).fold(0.0, f64::max);
     if end <= 0.0 {
         0.0
     } else {
-        rep.completed as f64 / (end / 1e9) / 1e6
+        run.rep.completed as f64 / (end / 1e9) / 1e6
     }
 }
 
-fn sweep(mode: Mode, ops: usize) -> Vec<(f64, OpenLoopReport)> {
+fn sweep(mode: Mode, ops: usize) -> Vec<(f64, Run)> {
     RATES
         .iter()
         .map(|&rate| {
@@ -156,7 +167,7 @@ fn sweep(mode: Mode, ops: usize) -> Vec<(f64, OpenLoopReport)> {
         .collect()
 }
 
-fn print_mode_table(mode: Mode, rows: &[(f64, OpenLoopReport)]) {
+fn print_mode_table(mode: Mode, rows: &[(f64, Run)]) {
     println!("{} — deadline {:.0} us:", mode.name(), DEADLINE_NS / 1e3);
     let mut t = Table::new([
         "Offered (Mops/s)",
@@ -169,15 +180,16 @@ fn print_mode_table(mode: Mode, rows: &[(f64, OpenLoopReport)]) {
         "retries",
         "gave_up",
     ]);
-    for (rate, rep) in rows {
-        let (p99, p999) = match Summary::from_samples(rep.latencies()) {
+    for (rate, run) in rows {
+        let rep = &run.rep;
+        let (p99, p999) = match Summary::from_samples(run.completions.iter().map(|&(_, l)| l)) {
             Some(s) => (s.percentile(99.0) / 1e3, s.percentile(99.9) / 1e3),
             None => (f64::NAN, f64::NAN),
         };
-        let viol = slo_violation_ns(&completion_series(rep), DEADLINE_NS) / 1e3;
+        let viol = slo_violation_ns(&completion_series(run), DEADLINE_NS) / 1e3;
         t.row([
             f(rate / 1e6, 1),
-            f(goodput_mops(rep), 3),
+            f(goodput_mops(run), 3),
             f(p99, 2),
             f(p999, 2),
             f(viol, 1),
@@ -191,7 +203,7 @@ fn print_mode_table(mode: Mode, rows: &[(f64, OpenLoopReport)]) {
 }
 
 /// Peak and past-knee (last swept rate) goodput for one mode's rows.
-fn knee_stats(rows: &[(f64, OpenLoopReport)]) -> (f64, f64) {
+fn knee_stats(rows: &[(f64, Run)]) -> (f64, f64) {
     let peak = rows
         .iter()
         .map(|(_, r)| goodput_mops(r))
@@ -300,9 +312,9 @@ fn run_chaos(ops: usize) {
         "shed+retry (Mops/s)",
     ]);
     let mut series: Vec<Vec<f64>> = Vec::new();
-    for (_, rep) in &results {
+    for (_, run) in &results {
         let mut buckets = [0u64; 10];
-        for &(tc, _) in &rep.completions {
+        for &(tc, _) in &run.completions {
             let b = ((tc / bucket_ns) as usize).min(9);
             buckets[b] += 1;
         }
@@ -325,7 +337,8 @@ fn run_chaos(ops: usize) {
         ]);
     }
     println!("{}", t.render());
-    for (i, (mode, rep)) in results.iter().enumerate() {
+    for (i, (mode, run)) in results.iter().enumerate() {
+        let rep = &run.rep;
         // Pre-fault = the two buckets before the flash; post-fault =
         // the two buckets after the RX stall ends.
         let pre = series[i][0..2].iter().sum::<f64>() / 2.0;

@@ -37,8 +37,8 @@ use kvs::proto::RequestGen;
 use kvs::server::{flow_for_queue, run_server, MigrationMode, ServerConfig};
 use kvs::store::{KvStore, Placement};
 use kvs::{
-    run_openloop, run_openloop_streaming, CompletionSink, LargeKvStore, LargePlacement,
-    OpenLoopConfig, OpenLoopReport,
+    run_openloop_streaming, CompletionSink, LargeKvStore, LargePlacement, OpenLoopConfig,
+    OpenLoopReport,
 };
 use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
@@ -409,8 +409,9 @@ fn differential_section(n_values: usize, ops: usize, cores: usize, rate: f64) {
     let mut port = Port::new(0, Steering::Rss(Rss::new(cores)), cfg.queue_depth);
     let mut policy = FixedHeadroom(128);
     let mut arr = OpenLoopGen::poisson(rate, 7);
-    // The exact (Vec-collecting) path the sketch replaced.
-    let rep = run_openloop(
+    // Exact reference: collect every completion record in a Vec.
+    let mut records: Vec<(f64, f64)> = Vec::new();
+    run_openloop_streaming(
         &mut m,
         &store,
         &mut pool,
@@ -418,8 +419,9 @@ fn differential_section(n_values: usize, ops: usize, cores: usize, rate: f64) {
         &mut policy,
         &mut arr,
         &cfg,
+        &mut records,
     );
-    let mut exact = rep.latencies();
+    let mut exact: Vec<f64> = records.iter().map(|&(_, l)| l).collect();
     exact.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let mut sketch = LogHist::latency_ns(ALPHA);
     for &l in &exact {

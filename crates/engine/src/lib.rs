@@ -22,21 +22,23 @@
 //!   [`QueueApp`]s over it.
 //! * **Virtual-time scheduling.** [`Engine::run_until`] does not tick
 //!   once per offered frame: a delayed event queue ([`events`]) keyed
-//!   on integer virtual time holds each busy worker's next epoch-merge
-//!   event, so catch-up calls where no event is due forward the idle
-//!   clocks in O(1) instead of dispatching an empty epoch (the
-//!   "empty-epoch tax" — see `EngineReport::sched`). The tick-stepper
+//!   on integer virtual time holds each busy worker's next merge event
+//!   (the epoch it owes), so catch-up calls where no event is due
+//!   forward the idle clocks in O(1) instead of dispatching an empty
+//!   epoch (the "empty-epoch tax" — see `EngineReport::sched`). The tick-stepper
 //!   this replaced is retained as [`Scheduler::ReferenceTick`] and the
 //!   differential suites assert both produce bit-identical reports.
-//! * **Epoch execution.** Workers advance in *epochs*: each active
-//!   worker, in ascending worker order, runs its polling loop directly
-//!   on the [`Machine`] and its RX queue, so it sees every LLC fill an
-//!   earlier worker made in the same epoch. Cross-worker effects on
-//!   buffers (TX commits, recycling, refills) are deferred to a merge
-//!   walk in the same canonical worker order. Everything runs on the
-//!   calling thread, so a run is a pure function of its inputs; the
-//!   differential suite (`tests/differential.rs`) checks run-to-run
-//!   equality and the scheduler equivalence below.
+//! * **Epoch execution.** Workers advance in *epochs*: one walk over
+//!   the workers in ascending order, then the epoch hook. Each active
+//!   worker runs its polling loop directly on the [`Machine`] and its
+//!   RX queue, so it sees every LLC fill an earlier worker made in the
+//!   same epoch, and each poll commits its own effects before the next
+//!   one starts (drops back to the pool, TX out through
+//!   [`Port::tx_burst`]); the worker's queue is refilled when its
+//!   polling ends. Everything runs on the calling thread, so a run is a
+//!   pure function of its inputs; the differential suite
+//!   (`tests/differential.rs`) checks run-to-run equality and the
+//!   scheduler equivalence below.
 //! * **Drop accounting.** Per-queue [`NicDrops`] and [`AdmitDrops`]
 //!   ledgers plus a per-queue count of application drops. The engine
 //!   owns the conservation invariant `offered + carried == delivered +
@@ -124,11 +126,12 @@ pub enum Execution {
 
 /// Which scheduler drives [`Engine::run_until`].
 ///
-/// Both schedulers run the *same* epoch algorithm (partition → worker
-/// polling → worker-ordered merge → epoch hook) whenever an epoch is
-/// dispatched; they differ only in *when* epochs are dispatched. The
-/// differential suite (`tests/differential.rs`) asserts their reports are
-/// bit-identical, field for field, modulo the [`SchedStats`] counters.
+/// Both schedulers run the *same* epoch algorithm (one worker-ordered
+/// walk of polls, refills and idle re-arms → epoch hook) whenever an
+/// epoch is dispatched; they differ only in *when* epochs are
+/// dispatched. The differential suite (`tests/differential.rs`) asserts
+/// their reports are bit-identical, field for field, modulo the
+/// [`SchedStats`] counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduler {
     /// The virtual-time event scheduler (default): `run_until`
@@ -139,8 +142,8 @@ pub enum Scheduler {
     #[default]
     EventDriven,
     /// The tick-stepper this engine shipped with: every `run_until`
-    /// call dispatches a full epoch — partition, merge walk, epoch
-    /// hook — even when no worker is behind the horizon or has work.
+    /// call dispatches a full epoch — worker walk, epoch hook — even
+    /// when no worker is behind the horizon or has work.
     /// Retained as the reference baseline for the differential tests;
     /// `epochs_dispatched` under this scheduler measures the
     /// empty-epoch tax the event scheduler removes.
@@ -154,7 +157,7 @@ pub enum Scheduler {
 /// tick-stepper dispatches strictly more epochs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedStats {
-    /// Epochs actually dispatched (partition + merge walk + hook).
+    /// Epochs actually dispatched (worker walk + hook).
     pub epochs_dispatched: u64,
     /// Dispatched epochs in which at least one worker polled (had a
     /// ready completion or backlog behind the horizon). The gap to
@@ -308,12 +311,14 @@ pub struct EngineConfig {
 /// What an application decides about one received packet.
 #[derive(Debug, Clone, Copy)]
 pub enum Verdict {
-    /// Transmit this descriptor (the engine counts it as delivered and
-    /// recycles the buffer at the epoch merge).
+    /// Transmit this descriptor: when the poll ends, the engine sends
+    /// the poll's TX batch through [`Port::tx_burst`] (which recycles
+    /// the buffer) and counts it as delivered.
     Tx(TxDesc),
-    /// Drop: the engine recycles the buffer and counts one application
-    /// drop on the worker's queue. Cause-level accounting is the app's
-    /// job (it has richer vocabulary than the engine needs).
+    /// Drop: the engine recycles the buffer at once and counts one
+    /// application drop on the worker's queue. Cause-level accounting
+    /// is the app's job (it has richer vocabulary than the engine
+    /// needs).
     Drop,
     /// The app took ownership of the buffer (e.g. queued it on a
     /// handoff ring). It must eventually resurface as a [`Verdict::Tx`]
@@ -321,12 +326,14 @@ pub enum Verdict {
     Consumed,
 }
 
-/// Per-poll context handed to the application: the machine plus the
+/// Per-poll context handed to the application: the machine, the
 /// worker's identity and the wall-clock anchor of the current poll
-/// iteration.
+/// iteration, plus the mbuf pool that [`Ctx::drop_packet`] returns
+/// buffers to.
 pub struct Ctx<'a> {
     /// The simulated machine. Timed work goes on [`Ctx::core`].
     pub m: &'a mut Machine,
+    pool: &'a mut MbufPool,
     /// The worker's core.
     pub core: usize,
     /// The worker's index in [`EngineConfig::workers`].
@@ -337,7 +344,6 @@ pub struct Ctx<'a> {
     start_ns: f64,
     ns_per_cycle: f64,
     dropped: u64,
-    freed: &'a mut Vec<u32>,
 }
 
 impl Ctx<'_> {
@@ -347,12 +353,12 @@ impl Ctx<'_> {
         self.start_ns + (self.m.now(self.core) - self.start_cycles) as f64 * self.ns_per_cycle
     }
 
-    /// Recycles `mbuf` (at the epoch merge, in canonical order) and
-    /// counts one application drop on this worker's queue — the
-    /// explicit form of [`Verdict::Drop`] for packets the app
-    /// previously [`Verdict::Consumed`] (e.g. a full handoff ring).
+    /// Recycles `mbuf` at once and counts one application drop on this
+    /// worker's queue — the explicit form of [`Verdict::Drop`] for
+    /// packets the app previously [`Verdict::Consumed`] (e.g. a full
+    /// handoff ring).
     pub fn drop_packet(&mut self, mbuf: u32) {
-        self.freed.push(mbuf);
+        self.pool.put(mbuf);
         self.dropped += 1;
     }
 }
@@ -386,7 +392,7 @@ pub trait QueueApp {
 }
 
 /// Context handed to the epoch and control hooks (between epochs, after
-/// the merge, with the pool live).
+/// every worker's turn).
 pub struct MergeCtx<'a> {
     /// The mbuf pool (for recycling buffers the hook drops).
     pub pool: &'a mut MbufPool,
@@ -405,9 +411,10 @@ impl MergeCtx<'_> {
     }
 }
 
-/// The cross-worker transfer hook, run after every epoch merge: move items between the per-worker apps (e.g. a pipeline
-/// stage-1 outbox into stage-2's inbox). Returns how many items moved,
-/// which keeps [`Engine::drain`] honest.
+/// The cross-worker transfer hook, run once per epoch after every
+/// worker's turn: move items between the per-worker apps (e.g. a
+/// pipeline stage-1 outbox into stage-2's inbox). Returns how many
+/// items moved, which keeps [`Engine::drain`] honest.
 pub type EpochHook<A> = Box<dyn FnMut(&mut [A], &mut MergeCtx<'_>) -> usize>;
 
 /// A periodic control-plane hook ([`Engine::set_control_hook`]): the
@@ -486,139 +493,10 @@ pub struct EngineReport {
     pub sched: SchedStats,
 }
 
-// ---------------------------------------------------------------------
-// Epoch worker polls.
-// ---------------------------------------------------------------------
-
-/// The per-epoch constants every worker's poll loop reads.
-#[derive(Clone, Copy)]
-struct EpochParams {
-    burst: usize,
-    ns_per_cycle: f64,
-    /// Poll horizon; `f64::INFINITY` in single-poll (`step`) mode.
-    horizon: f64,
-    single_poll: bool,
-}
-
-/// One poll iteration's deferred cross-worker effects.
-struct PollOutcome {
-    tx: Vec<TxDesc>,
-    /// The TX path was stalled at transmit time: frames are shed
-    /// (recycled + counted) instead of committed.
-    tx_stalled: bool,
-    dropped: u64,
-    freed: Vec<u32>,
-}
-
-/// What one worker's epoch hands to the merge.
-struct TaskOutcome {
-    worker: usize,
-    polls: Vec<PollOutcome>,
-    free_ns: f64,
-    ended_idle: bool,
-    moved: usize,
-}
-
-/// Runs worker `worker`'s polling loop for one epoch, directly on the
-/// machine and its RX queue. Buffer recycling, TX commits and refills
-/// are returned as a [`TaskOutcome`] for the merge.
-fn run_task<A: QueueApp>(
-    app: &mut A,
-    hw: &mut Hw<'_>,
-    faults: &FaultState,
-    worker: usize,
-    spec: WorkerSpec,
-    free_ns: f64,
-    ep: EpochParams,
-) -> TaskOutcome {
-    let core = spec.core;
-    let mut polls = Vec::new();
-    let mut moved_total = 0usize;
-    let mut free = free_ns;
-    let mut ended_idle = false;
-    loop {
-        if !ep.single_poll && free >= ep.horizon {
-            break;
-        }
-        let has_rx = spec.queue.is_some_and(|q| hw.port.ready_count(q) > 0);
-        if !has_rx && !app.has_backlog() {
-            ended_idle = true;
-            if !ep.single_poll {
-                // Idle-poll forward to the horizon; the idle re-arm
-                // refill happens at the merge.
-                free = ep.horizon;
-            }
-            break;
-        }
-        let start_cycles = hw.m.now(core);
-        let start_ns = free;
-        let batch = match spec.queue {
-            Some(q) => hw.port.rx_burst(hw.m, hw.pool, q, core, ep.burst).0,
-            None => Vec::new(),
-        };
-        let mut moved = batch.len();
-        let mut tx: Vec<TxDesc> = Vec::with_capacity(batch.len());
-        let mut freed: Vec<u32> = Vec::new();
-        let dropped;
-        {
-            let mut ctx = Ctx {
-                m: hw.m,
-                core,
-                worker,
-                queue: spec.queue,
-                start_cycles,
-                start_ns,
-                ns_per_cycle: ep.ns_per_cycle,
-                dropped: 0,
-                freed: &mut freed,
-            };
-            for comp in &batch {
-                match app.on_packet(&mut ctx, comp) {
-                    Verdict::Tx(desc) => tx.push(desc),
-                    Verdict::Drop => ctx.drop_packet(comp.mbuf),
-                    Verdict::Consumed => {}
-                }
-            }
-            moved += app.pump(&mut ctx, &mut tx);
-            dropped = ctx.dropped;
-        }
-        let mut tx_stalled = false;
-        if !tx.is_empty() {
-            let t_tx = start_ns + (hw.m.now(core) - start_cycles) as f64 * ep.ns_per_cycle;
-            if faults.tx_stalled(t_tx) {
-                // The TX descriptor path is wedged: fully processed
-                // frames cannot leave the box; the merge recycles them.
-                tx_stalled = true;
-            } else {
-                rte::nic::tx_wire(hw.m, core, &tx);
-            }
-        }
-        let busy = (hw.m.now(core) - start_cycles) as f64 * ep.ns_per_cycle;
-        free = start_ns + busy;
-        moved_total += moved;
-        polls.push(PollOutcome {
-            tx,
-            tx_stalled,
-            dropped,
-            freed,
-        });
-        if ep.single_poll {
-            break;
-        }
-    }
-    TaskOutcome {
-        worker,
-        polls,
-        free_ns: free,
-        ended_idle,
-        moved: moved_total,
-    }
-}
-
 /// An engine-internal delayed event (see [`events`]).
 enum EngineEvent {
-    /// The carried worker index has pending work; an epoch merge is
-    /// owed once a catch-up horizon passes its free-at time.
+    /// The carried worker index has pending work; it owes an epoch
+    /// once a catch-up horizon passes its free-at time.
     Merge(usize),
 }
 
@@ -767,8 +645,8 @@ impl<A: QueueApp> Engine<A> {
         eng
     }
 
-    /// Installs the cross-worker transfer hook, run after every epoch
-    /// merge (see [`EpochHook`]).
+    /// Installs the cross-worker transfer hook, run once per epoch after
+    /// every worker's turn (see [`EpochHook`]).
     pub fn set_epoch_hook(&mut self, hook: EpochHook<A>) {
         self.epoch_hook = Some(hook);
     }
@@ -844,7 +722,7 @@ impl<A: QueueApp> Engine<A> {
 
     /// Whether worker `w` has pending work: a completion waiting in its
     /// RX queue, or application backlog. The same predicate
-    /// `run_epoch`'s partition uses.
+    /// `run_epoch` uses to pick the workers that poll.
     fn worker_busy(&self, hw: &Hw<'_>, w: usize) -> bool {
         self.cfg.workers[w]
             .queue
@@ -852,7 +730,7 @@ impl<A: QueueApp> Engine<A> {
             || self.apps[w].has_backlog()
     }
 
-    /// Records that worker `w` owes an epoch merge: schedules its merge
+    /// Records that worker `w` owes an epoch: schedules its merge
     /// event at its effective free-at time (at most one pending event
     /// per worker).
     fn note_merge_due(&mut self, w: usize) {
@@ -879,8 +757,8 @@ impl<A: QueueApp> Engine<A> {
     }
 
     /// Applies the lazy idle forward to the per-worker clocks (before
-    /// any code that reads `free_ns` directly: epoch partitions, poll
-    /// start times).
+    /// any code that reads `free_ns` directly: the epoch's busy tests,
+    /// poll start times).
     fn materialize_floor(&mut self) {
         if self.idle_floor > 0.0 {
             for f in &mut self.free_ns {
@@ -1031,10 +909,11 @@ impl<A: QueueApp> Engine<A> {
     }
 
     /// Runs every worker's polling loop until simulated time `until_ns`
-    /// — one epoch: workers run in worker order to the horizon, then the
-    /// merge walk commits their buffer effects in the same order. Cross-worker handoff
-    /// (the epoch hook) is applied once, after the merge, so pipeline
-    /// stages see each other's output with epoch granularity.
+    /// — one epoch: workers run in worker order to the horizon, each
+    /// committing its own buffer effects as it polls. Cross-worker
+    /// handoff (the epoch hook) is applied once, after every worker's
+    /// turn, so pipeline stages see each other's output with epoch
+    /// granularity.
     ///
     /// Under [`Scheduler::EventDriven`] (the default) the epoch is
     /// dispatched only when the event queue says a worker actually owes
@@ -1071,28 +950,14 @@ impl<A: QueueApp> Engine<A> {
     }
 
     /// Fires the control hook at boundary time `t`, folding any timed
-    /// work it ran into the owning workers' free-at times (the same
-    /// accounting as epoch-hook time, see `run_epoch`).
+    /// work it ran into the owning workers' free-at times (see
+    /// `run_hook`).
     fn fire_control(&mut self, hw: &mut Hw<'_>, t: f64) {
         let Some(mut hook) = self.control_hook.take() else {
             return;
         };
         self.materialize_floor();
-        let before: Vec<u64> = (0..self.cfg.workers.len())
-            .map(|w| hw.m.now(self.cfg.workers[w].core))
-            .collect();
-        let mut mc = MergeCtx {
-            pool: hw.pool,
-            m: hw.m,
-            app_drops: &mut self.app_drops,
-        };
-        hook(&mut self.apps, &mut mc, t);
-        for (w, &start) in before.iter().enumerate() {
-            let delta = hw.m.now(self.cfg.workers[w].core) - start;
-            if delta > 0 {
-                self.free_ns[w] += delta as f64 * self.ns_per_cycle;
-            }
-        }
+        self.run_hook(hw, |apps, mc| hook(apps, mc, t));
         self.control_hook = Some(hook);
         // The hook may have created backlog (or consumed it); re-key
         // merge events against the workers' current state.
@@ -1103,9 +968,9 @@ impl<A: QueueApp> Engine<A> {
     /// `run_epoch(h, false)` in everything but wall-clock:
     ///
     /// 1. **Fast path** — every worker already free at (or past) `h`:
-    ///    the tick-stepper's partition would be empty on both sides
+    ///    no worker would poll or re-arm under the tick-stepper either
     ///    (`free_ns < horizon` is strict), so the whole epoch was the
-    ///    post-merge hook — and the epoch-hook contract (DESIGN.md §3f)
+    ///    hook — and the epoch-hook contract (DESIGN.md §3f)
     ///    makes hooks at workless epochs no-ops. O(1) return.
     /// 2. **Merge due** — a pending merge event fires strictly before
     ///    `h`: some worker is busy behind the horizon, so dispatch a
@@ -1117,7 +982,7 @@ impl<A: QueueApp> Engine<A> {
     ///    key, never advances it past the work (clocks are monotone and
     ///    keys are pushed when the work appears), so a busy worker
     ///    behind `h` always has an event before `h`: the dispatch
-    ///    decision exactly matches the tick-stepper's partition.
+    ///    decision exactly matches the tick-stepper's busy tests.
     /// 3. **Idle advance** — nobody owes work before `h`: the
     ///    tick-stepper would only forward clocks and re-arm under-posted
     ///    rings of idle workers. Run that re-arm pass for real when it
@@ -1170,13 +1035,7 @@ impl<A: QueueApp> Engine<A> {
             if self.free_ns[w] >= h {
                 continue;
             }
-            let spec = self.cfg.workers[w];
-            if let Some(q) = spec.queue {
-                if hw.port.posted_count(q) < self.cfg.queue_depth {
-                    hw.port
-                        .refill(hw.m, hw.pool, q, spec.core, hw.policy, self.cfg.queue_depth);
-                }
-            }
+            self.rearm_idle(hw, w);
             self.free_ns[w] = h;
         }
     }
@@ -1205,157 +1064,189 @@ impl<A: QueueApp> Engine<A> {
         while self.step(hw) > 0 {}
     }
 
-    /// One epoch: partition, run each active worker in worker order,
-    /// merge.
+    /// One epoch: a single walk over the workers in ascending order,
+    /// then the epoch hook.
     ///
-    /// In horizon mode (`single_poll == false`) every worker behind
-    /// `horizon_ns` participates and polls until it runs dry or reaches
-    /// the horizon. In single-poll mode (`step`) every worker with
-    /// pending work polls exactly once. Returns packets moved.
+    /// In horizon mode (`single_poll == false`) every busy worker behind
+    /// `horizon_ns` polls until it runs dry or reaches the horizon, and
+    /// every idle worker behind it gets the idle re-arm. In single-poll
+    /// mode (`step`) every worker with pending work polls exactly once.
+    /// A worker's busy test reads only its own RX ring and app, which no
+    /// earlier worker's turn touches, so testing it at the worker's turn
+    /// selects the same workers as testing all of them up front.
+    /// Returns packets moved.
     fn run_epoch(&mut self, hw: &mut Hw<'_>, horizon_ns: f64, single_poll: bool) -> usize {
-        // The partition (and the poll start times) read the raw clocks;
+        // The busy tests (and the poll start times) read the raw clocks;
         // fold any deferred idle forward in first.
         self.materialize_floor();
         self.sched.epochs_dispatched += 1;
-        // Partition the workers: `active` run the loop; `idle` (behind
-        // the horizon with nothing to do) only get the idle re-arm
-        // refill at the merge.
-        let mut active: Vec<usize> = Vec::new();
-        let mut idle: Vec<usize> = Vec::new();
-        for w in 0..self.cfg.workers.len() {
-            let spec = self.cfg.workers[w];
-            let busy = spec.queue.is_some_and(|q| hw.port.ready_count(q) > 0)
-                || self.apps[w].has_backlog();
-            if busy && (single_poll || self.free_ns[w] < horizon_ns) {
-                active.push(w);
-            } else if !single_poll && self.free_ns[w] < horizon_ns {
-                idle.push(w);
-            }
-        }
-        if !active.is_empty() {
-            self.sched.epochs_with_work += 1;
-        }
-        let ep = EpochParams {
-            burst: self.cfg.burst,
-            ns_per_cycle: self.ns_per_cycle,
-            horizon: horizon_ns,
-            single_poll,
-        };
-        // The partition was taken before anyone polled, so a worker's
-        // membership does not depend on what earlier workers did.
-        let outcomes: Vec<TaskOutcome> = active
-            .iter()
-            .map(|&w| {
-                let spec = self.cfg.workers[w];
-                run_task(
-                    &mut self.apps[w],
-                    hw,
-                    &self.faults,
-                    w,
-                    spec,
-                    self.free_ns[w],
-                    ep,
-                )
-            })
-            .collect();
-        // Merge, in canonical worker order (ascending worker index;
-        // `active` and `idle` are each ascending and disjoint, so one
-        // merged walk preserves it).
         let mut moved = 0usize;
-        let mut oi = 0usize;
-        let mut ii = 0usize;
+        let mut worked = false;
         for w in 0..self.cfg.workers.len() {
-            if oi < outcomes.len() && outcomes[oi].worker == w {
-                let o = &outcomes[oi];
-                oi += 1;
-                let spec = self.cfg.workers[w];
-                let aq = spec.queue.unwrap_or(0);
-                // 1. Per poll, in order: app drops, then the TX fate.
-                for p in &o.polls {
-                    for &mb in &p.freed {
-                        hw.pool.put(mb);
-                    }
-                    self.app_drops[aq] += p.dropped;
-                    if p.tx_stalled {
-                        for d in &p.tx {
-                            hw.pool.put(d.mbuf);
-                        }
-                        self.nic[aq].tx_stall += p.tx.len() as u64;
-                    } else if !p.tx.is_empty() {
-                        hw.port.tx_commit(hw.pool, &p.tx);
-                        self.delivered += p.tx.len() as u64;
-                        self.delivered_q[aq] += p.tx.len() as u64;
-                        for d in &p.tx {
-                            self.tx_wire_bits += trafficgen::arrival::wire_bits(d.len);
-                        }
-                    }
-                }
-                moved += o.moved;
-                self.free_ns[w] = o.free_ns;
-                // 2. Refill the worker's queue. A real RX ring has
-                // `depth` slots shared by posted descriptors and
-                // not-yet-harvested completions; top up only the slots
-                // this epoch freed.
-                if let Some(q) = spec.queue {
-                    let target = self.cfg.queue_depth.saturating_sub(hw.port.ready_count(q));
-                    let (_, cycles) = hw
-                        .port
-                        .refill(hw.m, hw.pool, q, spec.core, hw.policy, target);
-                    if !o.ended_idle {
-                        // Busy workers pay the refill on their schedule
-                        // clock; idle workers already idled to the
-                        // horizon (the refill hides in the idle time).
-                        self.free_ns[w] += cycles as f64 * self.ns_per_cycle;
-                    }
-                }
-            } else if ii < idle.len() && idle[ii] == w {
-                ii += 1;
-                let spec = self.cfg.workers[w];
-                // An idle PMD still re-arms its RX ring. Without this, a
-                // transient pool outage that drains the posted ring would
-                // leave the queue dry forever once the pool recovers.
-                if let Some(q) = spec.queue {
-                    if hw.port.posted_count(q) < self.cfg.queue_depth {
-                        hw.port.refill(
-                            hw.m,
-                            hw.pool,
-                            q,
-                            spec.core,
-                            hw.policy,
-                            self.cfg.queue_depth,
-                        );
-                    }
-                }
+            let behind = self.free_ns[w] < horizon_ns;
+            if self.worker_busy(hw, w) && (single_poll || behind) {
+                worked = true;
+                moved += self.run_worker(hw, w, horizon_ns, single_poll);
+            } else if !single_poll && behind {
+                self.rearm_idle(hw, w);
                 self.free_ns[w] = horizon_ns;
             }
         }
-        // 3. Cross-worker handoff, after every worker's merge.
-        if let Some(hook) = self.epoch_hook.as_mut() {
-            // Timed machine work a hook performs on a worker's core
-            // (e.g. a batched migration at the merge) occupies that
-            // core: fold the hook's clock delta into the worker's
-            // availability so its next poll starts after the batch.
-            // Hooks at workless epochs are no-ops (DESIGN §3f), so this
-            // fold never moves a clock when nothing happened — the
-            // schedulers' epochs-with-work coincide and stay
-            // bit-identical.
-            let before: Vec<u64> = (0..self.cfg.workers.len())
-                .map(|w| hw.m.now(self.cfg.workers[w].core))
-                .collect();
-            let mut mc = MergeCtx {
-                pool: hw.pool,
-                m: hw.m,
-                app_drops: &mut self.app_drops,
-            };
-            moved += hook(&mut self.apps, &mut mc);
-            for (w, &start) in before.iter().enumerate() {
-                let delta = hw.m.now(self.cfg.workers[w].core) - start;
-                if delta > 0 {
-                    self.free_ns[w] += delta as f64 * self.ns_per_cycle;
-                }
-            }
+        if worked {
+            self.sched.epochs_with_work += 1;
+        }
+        // Cross-worker handoff, after every worker's turn. Hooks at
+        // workless epochs are no-ops (DESIGN §3f), so its clock fold
+        // never moves a clock when nothing happened — the schedulers'
+        // epochs-with-work coincide and stay bit-identical.
+        if let Some(mut hook) = self.epoch_hook.take() {
+            moved += self.run_hook(hw, |apps, mc| hook(apps, mc));
+            self.epoch_hook = Some(hook);
         }
         moved
+    }
+
+    /// Runs an epoch or control hook against the apps. Timed machine
+    /// work a hook performs on a worker's core (e.g. a batched
+    /// migration) occupies that core: the hook's clock delta is folded
+    /// into the worker's free-at time, so its next poll starts after
+    /// the batch.
+    fn run_hook<R>(
+        &mut self,
+        hw: &mut Hw<'_>,
+        hook: impl FnOnce(&mut [A], &mut MergeCtx<'_>) -> R,
+    ) -> R {
+        let before: Vec<u64> = (0..self.cfg.workers.len())
+            .map(|w| hw.m.now(self.cfg.workers[w].core))
+            .collect();
+        let mut mc = MergeCtx {
+            pool: hw.pool,
+            m: hw.m,
+            app_drops: &mut self.app_drops,
+        };
+        let out = hook(&mut self.apps, &mut mc);
+        for (w, &start) in before.iter().enumerate() {
+            let delta = hw.m.now(self.cfg.workers[w].core) - start;
+            if delta > 0 {
+                self.free_ns[w] += delta as f64 * self.ns_per_cycle;
+            }
+        }
+        out
+    }
+
+    /// Runs worker `w`'s polling loop for one epoch, directly on the
+    /// machine and its RX queue. Each poll commits its effects before
+    /// the next one starts: dropped buffers went back to the pool as the
+    /// app dropped them, then the TX batch leaves through
+    /// [`Port::tx_burst`] — or, inside a `tx_stall` window, is recycled
+    /// and counted. When polling ends, the worker's queue is refilled.
+    /// Returns packets moved.
+    fn run_worker(
+        &mut self,
+        hw: &mut Hw<'_>,
+        w: usize,
+        horizon_ns: f64,
+        single_poll: bool,
+    ) -> usize {
+        let spec = self.cfg.workers[w];
+        let core = spec.core;
+        let aq = spec.queue.unwrap_or(0);
+        let app = &mut self.apps[w];
+        let mut moved = 0usize;
+        let mut free = self.free_ns[w];
+        let mut ended_idle = false;
+        let mut tx: Vec<TxDesc> = Vec::new();
+        loop {
+            if !single_poll && free >= horizon_ns {
+                break;
+            }
+            let has_rx = spec.queue.is_some_and(|q| hw.port.ready_count(q) > 0);
+            if !has_rx && !app.has_backlog() {
+                ended_idle = true;
+                if !single_poll {
+                    // Idle-poll forward to the horizon; the refill below
+                    // hides in the idle time.
+                    free = horizon_ns;
+                }
+                break;
+            }
+            let start_cycles = hw.m.now(core);
+            let start_ns = free;
+            let batch = match spec.queue {
+                Some(q) => hw.port.rx_burst(hw.m, hw.pool, q, core, self.cfg.burst).0,
+                None => Vec::new(),
+            };
+            moved += batch.len();
+            tx.clear();
+            let mut ctx = Ctx {
+                m: hw.m,
+                pool: hw.pool,
+                core,
+                worker: w,
+                queue: spec.queue,
+                start_cycles,
+                start_ns,
+                ns_per_cycle: self.ns_per_cycle,
+                dropped: 0,
+            };
+            for comp in &batch {
+                match app.on_packet(&mut ctx, comp) {
+                    Verdict::Tx(desc) => tx.push(desc),
+                    Verdict::Drop => ctx.drop_packet(comp.mbuf),
+                    Verdict::Consumed => {}
+                }
+            }
+            moved += app.pump(&mut ctx, &mut tx);
+            self.app_drops[aq] += ctx.dropped;
+            let t_tx = ctx.wall_ns();
+            if !tx.is_empty() {
+                if self.faults.tx_stalled(t_tx) {
+                    // The TX descriptor path is wedged: fully processed
+                    // frames cannot leave the box.
+                    for d in &tx {
+                        hw.pool.put(d.mbuf);
+                    }
+                    self.nic[aq].tx_stall += tx.len() as u64;
+                } else {
+                    hw.port.tx_burst(hw.m, hw.pool, core, &tx);
+                    self.delivered += tx.len() as u64;
+                    self.delivered_q[aq] += tx.len() as u64;
+                    for d in &tx {
+                        self.tx_wire_bits += trafficgen::arrival::wire_bits(d.len);
+                    }
+                }
+            }
+            free = start_ns + (hw.m.now(core) - start_cycles) as f64 * self.ns_per_cycle;
+            if single_poll {
+                break;
+            }
+        }
+        // A real RX ring has `depth` slots shared by posted descriptors
+        // and not-yet-harvested completions; top up only the slots this
+        // epoch freed.
+        if let Some(q) = spec.queue {
+            let target = self.cfg.queue_depth.saturating_sub(hw.port.ready_count(q));
+            let (_, cycles) = hw.port.refill(hw.m, hw.pool, q, core, hw.policy, target);
+            if !ended_idle {
+                // Busy workers pay the refill on their schedule clock.
+                free += cycles as f64 * self.ns_per_cycle;
+            }
+        }
+        self.free_ns[w] = free;
+        moved
+    }
+
+    /// The idle re-arm: an idle PMD still tops its RX ring up to full.
+    /// Without this, a transient pool outage that drains the posted ring
+    /// would leave the queue dry forever once the pool recovers.
+    fn rearm_idle(&self, hw: &mut Hw<'_>, w: usize) {
+        let spec = self.cfg.workers[w];
+        if let Some(q) = spec.queue {
+            if hw.port.posted_count(q) < self.cfg.queue_depth {
+                hw.port
+                    .refill(hw.m, hw.pool, q, spec.core, hw.policy, self.cfg.queue_depth);
+            }
+        }
     }
 
     /// Ends the run: clears any pool outage, asserts conservation

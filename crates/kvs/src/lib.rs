@@ -55,9 +55,7 @@ pub mod store;
 
 pub use large::{LargeKvStore, LargePlacement};
 pub use migrate::{CostModel, HotMigrator, MigrateError, MigrationPolicy, MigrationReport};
-pub use openloop::{
-    run_openloop, run_openloop_streaming, CompletionSink, OpenLoopConfig, OpenLoopReport,
-};
+pub use openloop::{run_openloop_streaming, CompletionSink, OpenLoopConfig, OpenLoopReport};
 pub use proto::{KvOp, KvRequest};
 pub use server::{run_server, MigrationMode, ServerConfig, ServerReport};
 pub use store::{KvStore, Placement, SwapError};

@@ -40,8 +40,9 @@
 //! attempts is therefore exact — *provided every accepted frame
 //! produces exactly one outcome*. All NIC losses in this model are
 //! synchronous at offer time except the TX-stall fault, which loses a
-//! frame *after* it was served; `run_openloop` rejects fault plans with
-//! TX-stall windows for this reason (asserted up front).
+//! frame *after* it was served; [`run_openloop_streaming`] rejects
+//! fault plans with TX-stall windows for this reason (asserted up
+//! front).
 
 use crate::proto::{RequestGen, REQUEST_SIZE};
 use crate::server::{flow_for_queue, serve_packet, Served, ServerDrops};
@@ -59,11 +60,10 @@ use trafficgen::{Arrivals, FlowTuple, ZipfConstants, ZipfGen};
 
 /// Where completed-op latency records go, one call per completion.
 ///
-/// The default [`run_openloop`] collects them into
-/// [`OpenLoopReport::completions`] — exact but O(completions) memory.
-/// Million-request figure runs use [`run_openloop_streaming`] with a
-/// bounded sink instead (e.g. one `xstats::LogHist` per queue), so the
-/// report path holds no per-request `Vec` at any scale.
+/// A `Vec<(f64, f64)>` collects every `(completion ns, latency ns)`
+/// pair — exact but O(completions) memory. Million-request figure runs
+/// pass a bounded sink instead (e.g. one `xstats::LogHist` per queue),
+/// so the report path holds no per-request `Vec` at any scale.
 ///
 /// Calls arrive in the engine's deterministic processing order, so any
 /// deterministic sink yields bit-identical figures across runs and
@@ -74,18 +74,17 @@ pub trait CompletionSink {
     fn record(&mut self, queue: usize, completion_ns: f64, latency_ns: f64);
 }
 
-/// The collect-everything sink behind the default [`run_openloop`].
-struct VecSink(Vec<(f64, f64)>);
-
-impl CompletionSink for VecSink {
+/// Collects `(completion ns, latency ns)` per completed op, in
+/// processing order.
+impl CompletionSink for Vec<(f64, f64)> {
     fn record(&mut self, _queue: usize, completion_ns: f64, latency_ns: f64) {
-        self.0.push((completion_ns, latency_ns));
+        self.push((completion_ns, latency_ns));
     }
 }
 
 /// Open-loop run configuration. Arrival *timing* comes from the
-/// [`Arrivals`] implementation passed to [`run_openloop`]; this struct
-/// holds everything else.
+/// [`Arrivals`] implementation passed to [`run_openloop_streaming`];
+/// this struct holds everything else.
 #[derive(Debug, Clone)]
 pub struct OpenLoopConfig {
     /// Serving cores: core *i* polls RX queue *i*.
@@ -226,17 +225,6 @@ pub struct OpenLoopReport {
     pub admit: AdmitDrops,
     /// Simulated run duration (from the engine report).
     pub duration_ns: f64,
-    /// Per completed op: `(completion time ns, latency ns)`, where
-    /// latency is measured from the op's *first* attempt — a retried op
-    /// pays its timeouts. Stamped when the server transmits the
-    /// response (delivery in this NIC model is immediate). Empty for
-    /// [`run_openloop_streaming`] runs, whose records went to the
-    /// caller's [`CompletionSink`] instead.
-    pub completions: Vec<(f64, f64)>,
-    /// True when the run streamed its completion records to an external
-    /// sink ([`run_openloop_streaming`]) instead of collecting them in
-    /// [`OpenLoopReport::completions`].
-    pub streamed: bool,
 }
 
 impl OpenLoopReport {
@@ -249,14 +237,9 @@ impl OpenLoopReport {
         }
     }
 
-    /// The completion latencies alone (input for percentile math).
-    pub fn latencies(&self) -> Vec<f64> {
-        self.completions.iter().map(|&(_, l)| l).collect()
-    }
-
     /// Asserts the extended conservation identities that tie the
-    /// logical ledger to the physical one. `run_openloop` calls this
-    /// before returning; tests re-call it on stored reports.
+    /// logical ledger to the physical one. [`run_openloop_streaming`]
+    /// calls this before returning; tests re-call it on stored reports.
     ///
     /// # Panics
     ///
@@ -292,18 +275,6 @@ impl OpenLoopReport {
             self.completed + self.late,
             "every transmitted response completed an op or arrived late"
         );
-        if self.streamed {
-            assert!(
-                self.completions.is_empty(),
-                "a streamed run keeps no completion Vec"
-            );
-        } else {
-            assert_eq!(
-                self.completed,
-                self.completions.len() as u64,
-                "one completion record per completed op"
-            );
-        }
     }
 }
 
@@ -491,7 +462,11 @@ fn drain_outcomes(
 
 /// Runs the open-loop benchmark: `cfg.logical_ops` operations arriving
 /// on `arrivals`' schedule, spread round-robin over the queues, each
-/// carrying a deadline and retried by the client per `cfg`.
+/// carrying a deadline and retried by the client per `cfg`. Each
+/// completed op's record goes to `sink` — its latency is measured from
+/// the op's *first* attempt (a retried op pays its timeouts) and
+/// stamped when the server transmits the response (delivery in this
+/// NIC model is immediate).
 ///
 /// # Panics
 ///
@@ -499,50 +474,8 @@ fn drain_outcomes(
 /// ready ring is not empty (open-loop matching needs a fresh port), the
 /// fault plan contains TX-stall windows, or a conservation identity
 /// fails at the end.
-pub fn run_openloop(
-    m: &mut Machine,
-    store: &KvStore,
-    pool: &mut MbufPool,
-    port: &mut Port,
-    policy: &mut dyn HeadroomPolicy,
-    arrivals: &mut dyn Arrivals,
-    cfg: &OpenLoopConfig,
-) -> OpenLoopReport {
-    let mut sink = VecSink(Vec::new());
-    let mut report = run_openloop_impl(m, store, pool, port, policy, arrivals, cfg, &mut sink);
-    report.completions = sink.0;
-    report.streamed = false;
-    report.assert_conservation();
-    report
-}
-
-/// [`run_openloop`] with bounded report-path memory: every completion
-/// record goes to `sink` (typically one streaming quantile sketch per
-/// queue) instead of a per-request `Vec`, so million-request runs hold
-/// O(sketch) state regardless of scale. The returned report is
-/// identical except `completions` stays empty (`streamed` is set).
-///
-/// # Panics
-///
-/// As [`run_openloop`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_openloop_streaming(
-    m: &mut Machine,
-    store: &KvStore,
-    pool: &mut MbufPool,
-    port: &mut Port,
-    policy: &mut dyn HeadroomPolicy,
-    arrivals: &mut dyn Arrivals,
-    cfg: &OpenLoopConfig,
-    sink: &mut dyn CompletionSink,
-) -> OpenLoopReport {
-    let report = run_openloop_impl(m, store, pool, port, policy, arrivals, cfg, sink);
-    report.assert_conservation();
-    report
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_openloop_impl(
     m: &mut Machine,
     store: &KvStore,
     pool: &mut MbufPool,
@@ -740,13 +673,12 @@ fn run_openloop_impl(
         drops,
         admit: rep.admit,
         duration_ns: rep.duration_ns,
-        completions: Vec::new(),
-        streamed: true,
     };
     assert_eq!(
         report.offered, client.offered,
         "client and engine count the same physical attempts"
     );
+    report.assert_conservation();
     report
 }
 
@@ -762,7 +694,9 @@ mod tests {
     use slice_aware::alloc::SliceAllocator;
     use trafficgen::OpenLoopGen;
 
-    fn run(cfg: &OpenLoopConfig, arrivals: &mut dyn Arrivals) -> OpenLoopReport {
+    /// One run on a fresh 4096-key store: the report plus every
+    /// `(completion ns, latency ns)` record, in processing order.
+    fn run(cfg: &OpenLoopConfig, arrivals: &mut dyn Arrivals) -> (OpenLoopReport, Vec<(f64, f64)>) {
         let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
         let region = m.mem_mut().alloc(16 << 20, 1 << 20).unwrap();
         let h = XorSliceHash::haswell_8slice();
@@ -771,7 +705,8 @@ mod tests {
         let mut pool = MbufPool::create(&mut m, 4096, 128, 2048).unwrap();
         let mut port = Port::new(0, Steering::Rss(Rss::new(cfg.cores)), cfg.queue_depth);
         let mut policy = FixedHeadroom(128);
-        run_openloop(
+        let mut sink = Vec::new();
+        let rep = run_openloop_streaming(
             &mut m,
             &store,
             &mut pool,
@@ -779,20 +714,27 @@ mod tests {
             &mut policy,
             arrivals,
             cfg,
-        )
+            &mut sink,
+        );
+        assert_eq!(
+            sink.len() as u64,
+            rep.completed,
+            "one record per completed op"
+        );
+        (rep, sink)
     }
 
     #[test]
     fn unloaded_run_completes_every_op_without_retries() {
         let cfg = OpenLoopConfig::new(500, 7).with_retries(1e6, 4);
         let mut arr = OpenLoopGen::constant(1e5); // 10 µs gaps: idle server.
-        let rep = run(&cfg, &mut arr);
+        let (rep, records) = run(&cfg, &mut arr);
         assert_eq!(rep.completed, 500);
         assert_eq!(rep.gave_up, 0);
         assert_eq!(rep.retries, 0);
         assert_eq!(rep.late, 0);
         assert!(rep.goodput_ops_per_s() > 0.0);
-        assert_eq!(rep.latencies().len(), 500);
+        assert_eq!(records.len(), 500);
         rep.assert_conservation();
     }
 
@@ -805,14 +747,15 @@ mod tests {
             .with_admission(AdmissionPolicy::QueueDepth { max_backlog: 32 })
             .with_retries(500.0, 3);
         let mut a1 = OpenLoopGen::constant(1e9);
-        let first = run(&cfg, &mut a1);
+        let (first, first_records) = run(&cfg, &mut a1);
         let mut a2 = OpenLoopGen::constant(1e9);
-        let second = run(&cfg, &mut a2);
+        let (second, second_records) = run(&cfg, &mut a2);
         assert!(first.admit.depth_shed > 0, "overload must shed");
         assert!(first.retries > 0, "rejected attempts must be retried");
         assert!(first.gave_up > 0, "a bounded budget must give up");
         first.assert_conservation();
         assert_eq!(first, second, "repeated run diverged");
+        assert_eq!(first_records, second_records, "repeated records diverged");
     }
 
     #[test]
@@ -828,7 +771,7 @@ mod tests {
             })
             .with_retries(300.0, 4);
         let mut arr = OpenLoopGen::constant(5e8); // 2 ns gaps.
-        let rep = run(&cfg, &mut arr);
+        let (rep, _) = run(&cfg, &mut arr);
         assert!(
             rep.admit.deadline_shed > 0 || rep.drops.expired > 0,
             "tight deadlines must surface as sheds or expiries: {rep:?}"
@@ -845,7 +788,7 @@ mod tests {
         // are counted late, never double-completed.
         let cfg = OpenLoopConfig::new(800, 17).with_retries(500.0, 3);
         let mut arr = OpenLoopGen::constant(2e7); // 50 ns gaps.
-        let rep = run(&cfg, &mut arr);
+        let (rep, _) = run(&cfg, &mut arr);
         assert!(rep.retries > 0, "hair-trigger timeouts must retransmit");
         assert!(rep.late > 0, "duplicates must surface as late responses");
         assert_eq!(rep.delivered, rep.completed + rep.late);
@@ -865,67 +808,11 @@ mod tests {
                     .with_link_flap(Window::new(10_000, 20_000)),
             );
         let mut arr = OpenLoopGen::poisson(2e7, 23);
-        let rep = run(&cfg, &mut arr);
+        let (rep, _) = run(&cfg, &mut arr);
         assert!(rep.drops.nic.crc > 0, "corruption must surface");
         assert!(rep.drops.nic.link_down > 0, "flap must surface");
         assert!(rep.completed > 0);
         rep.assert_conservation();
-    }
-
-    /// The streaming sink sees exactly the records the Vec path
-    /// collects — same order, same bits — and the two reports agree on
-    /// every counter. This is the contract that lets figure binaries
-    /// swap the O(completions) Vec for a bounded sketch without any
-    /// output drift.
-    #[test]
-    fn streaming_sink_matches_vec_path_bit_for_bit() {
-        struct Collect(Vec<(usize, f64, f64)>);
-        impl CompletionSink for Collect {
-            fn record(&mut self, queue: usize, completion_ns: f64, latency_ns: f64) {
-                self.0.push((queue, completion_ns, latency_ns));
-            }
-        }
-
-        let cfg = OpenLoopConfig::new(1500, 21)
-            .with_cores(2)
-            .with_retries(2_000.0, 2);
-        let mut a1 = OpenLoopGen::poisson(5e7, 3);
-        let vec_rep = run(&cfg, &mut a1);
-
-        let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
-        let region = m.mem_mut().alloc(16 << 20, 1 << 20).unwrap();
-        let h = XorSliceHash::haswell_8slice();
-        let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
-        let store = KvStore::build(&mut m, &mut alloc, 4096, Placement::Normal).unwrap();
-        let mut pool = MbufPool::create(&mut m, 4096, 128, 2048).unwrap();
-        let mut port = Port::new(0, Steering::Rss(Rss::new(cfg.cores)), cfg.queue_depth);
-        let mut policy = FixedHeadroom(128);
-        let mut a2 = OpenLoopGen::poisson(5e7, 3);
-        let mut sink = Collect(Vec::new());
-        let streamed = run_openloop_streaming(
-            &mut m,
-            &store,
-            &mut pool,
-            &mut port,
-            &mut policy,
-            &mut a2,
-            &cfg,
-            &mut sink,
-        );
-
-        assert!(streamed.streamed && streamed.completions.is_empty());
-        let stream_records: Vec<(f64, f64)> = sink.0.iter().map(|&(_, t, l)| (t, l)).collect();
-        assert_eq!(
-            stream_records, vec_rep.completions,
-            "record streams diverged"
-        );
-        assert!(sink.0.iter().all(|&(q, _, _)| q < cfg.cores));
-        assert_eq!(streamed.completed, vec_rep.completed);
-        assert_eq!(streamed.offered, vec_rep.offered);
-        assert_eq!(streamed.retries, vec_rep.retries);
-        assert_eq!(streamed.late, vec_rep.late);
-        assert_eq!(streamed.duration_ns, vec_rep.duration_ns);
-        streamed.assert_conservation();
     }
 
     #[test]

@@ -163,7 +163,8 @@ pub struct ServerDrops {
     /// NIC/driver drops (descriptor exhaustion, pool starvation, CRC,
     /// link, stalls, TX-path faults), as accounted by the engine.
     pub nic: NicDrops,
-    /// Requests delivered but rejected by the parser (bad opcode).
+    /// Requests delivered but rejected by the parser (bad opcode or a
+    /// key outside the store).
     pub malformed: u64,
     /// Requests delivered but too short to carry opcode/key/value.
     pub truncated: u64,
@@ -328,7 +329,7 @@ pub enum Served {
     Expired,
     /// Too short to carry opcode/key (or a SET value cut off).
     Truncated,
-    /// Unknown opcode.
+    /// Unknown opcode, or a key outside the store.
     Malformed,
 }
 
@@ -360,6 +361,11 @@ pub fn serve_packet(
         };
         return (outcome, 0);
     };
+    if req.key as usize >= store.len() {
+        // Well-formed but addressing no slot: reject before the store
+        // or the migrator sees the key.
+        return (Served::Malformed, 0);
+    }
     if req.op == KvOp::Set && wire_len < VALUE_OFF + 64 {
         // A SET whose value was cut off on the wire.
         return (Served::Truncated, 0);

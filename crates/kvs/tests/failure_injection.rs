@@ -69,6 +69,42 @@ fn assert_conservation(rep: &ServerReport) {
     }
 }
 
+/// A well-formed request whose key lies outside the store is a client
+/// error, not a server crash: it is dropped as malformed before the
+/// store (or a migrator) sees the key, and everything else is served.
+#[test]
+fn out_of_range_keys_are_dropped_as_malformed() {
+    const SMALL: usize = 1024;
+    let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
+    let region = m.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
+    let h = XorSliceHash::haswell_8slice();
+    let mut alloc = SliceAllocator::new(region, move |pa| h.slice_of(pa));
+    let store = KvStore::build(&mut m, &mut alloc, SMALL, Placement::Normal).unwrap();
+    let mut pool = MbufPool::create(&mut m, 1024, 128, 2048).unwrap();
+    let mut port = Port::new(0, Steering::Rss(Rss::new(1)), 256);
+    let base = FlowTuple::tcp(0x0a00_0001, 40_000, 0xc0a8_0001, 11211);
+    let flow = flow_for_queue(&mut port, base, 0);
+    // Keys drawn from a range four times the store.
+    let keygen = ZipfGen::new(4 * SMALL as u64, 0.99, 5);
+    let mut gens = vec![RequestGen::new(keygen, 900, 9).with_flow(flow)];
+    let mut policy = FixedHeadroom(128);
+    let rep = run_server(
+        &mut m,
+        &store,
+        &mut pool,
+        &mut port,
+        &mut policy,
+        &mut gens,
+        &ServerConfig::fig8(4_000, 900, 1),
+    );
+    assert!(
+        rep.drops.malformed > 0,
+        "out-of-range keys must be rejected"
+    );
+    assert!(rep.served > 0, "in-range requests are still served");
+    assert_conservation(&rep);
+}
+
 #[test]
 fn transient_queue_stall_degrades_only_that_queue() {
     const STALLED: usize = 2;
@@ -153,7 +189,7 @@ fn queue_stall_reports_match_the_fault_free_baseline_elsewhere() {
 #[test]
 fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
     use engine::AdmissionPolicy;
-    use kvs::{run_openloop, OpenLoopConfig};
+    use kvs::{run_openloop_streaming, OpenLoopConfig};
     use trafficgen::{OpenLoopGen, RateProfile};
 
     const SERVE_CORES: usize = 2;
@@ -191,7 +227,8 @@ fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
         );
     let mut arr = OpenLoopGen::poisson(base_rate, 11)
         .with_profile(RateProfile::flat().with_flash(flash.0, flash.1, 4.0));
-    let rep = run_openloop(
+    let mut completions: Vec<(f64, f64)> = Vec::new();
+    let rep = run_openloop_streaming(
         &mut m,
         &store,
         &mut pool,
@@ -199,8 +236,10 @@ fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
         &mut policy,
         &mut arr,
         &cfg,
+        &mut completions,
     );
     rep.assert_conservation();
+    assert_eq!(completions.len() as u64, rep.completed);
 
     // Both injected faults must actually bite.
     assert!(
@@ -219,7 +258,7 @@ fn flash_crowd_and_pool_exhaustion_recover_to_pre_fault_goodput() {
     // last two buckets must already be back at pre-fault goodput.
     let bucket_ns = arrive_end_ns / 10.0;
     let mut buckets = [0u64; 10];
-    for &(tc, _) in &rep.completions {
+    for &(tc, _) in &completions {
         buckets[((tc / bucket_ns) as usize).min(9)] += 1;
     }
     let pre = (buckets[0] + buckets[1]) as f64 / 2.0;

@@ -6,19 +6,19 @@
 //! policies, and fault plans (everything but TX-stall, which the
 //! open-loop matcher rejects by contract).
 //!
-//! [`kvs::run_openloop`] already asserts the extended conservation
+//! [`kvs::run_openloop_streaming`] already asserts the extended conservation
 //! identities internally on every run (logical: `completed + gave_up ==
 //! logical_ops`, `offered == logical_ops + retries`; physical:
 //! `offered == accepted + rejected`, `accepted == delivered + server
 //! drops`, `delivered == completed + late`). This test's job is to
 //! drive those asserts through a configuration space wide enough that
 //! nothing survives by coincidence, and to pin run-to-run and
-//! event-driven/reference-tick equivalence of the *entire report* per
-//! seed. A failure prints its iteration seed and replays exactly.
+//! event-driven/reference-tick equivalence of the *entire report* and
+//! completion-record stream per seed. A failure prints its iteration seed and replays exactly.
 
 use engine::{AdmissionPolicy, Scheduler};
 use kvs::store::{KvStore, Placement};
-use kvs::{run_openloop, OpenLoopConfig, OpenLoopReport};
+use kvs::{run_openloop_streaming, OpenLoopConfig, OpenLoopReport};
 use llc_sim::hash::{SliceHash, XorSliceHash};
 use llc_sim::machine::{Machine, MachineConfig};
 use rte::fault::{FaultPlan, Window};
@@ -63,7 +63,7 @@ fn draw(rng: &mut Rng64, seed: u64) -> Scenario {
     };
     // Fault windows sit inside the first ~half of the nominal arrival
     // span so they actually see traffic. TX-stall is excluded by the
-    // open-loop contract (run_openloop rejects it).
+    // open-loop contract (run_openloop_streaming rejects it).
     let horizon = OPS as f64 / rate_pps * 1e9;
     let faults = match rng.gen_range(0u32..4) {
         0 => FaultPlan::none(),
@@ -109,8 +109,9 @@ fn arrivals(s: &Scenario) -> OpenLoopGen {
 }
 
 /// One full run: fresh machine, store, pool, and port (the open-loop
-/// completion matcher requires pristine rings).
-fn run(cfg: &OpenLoopConfig, arr: &mut dyn Arrivals) -> OpenLoopReport {
+/// completion matcher requires pristine rings). Returns the report and
+/// every `(completion ns, latency ns)` record.
+fn run(cfg: &OpenLoopConfig, arr: &mut dyn Arrivals) -> (OpenLoopReport, Vec<(f64, f64)>) {
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
     let region = m.mem_mut().alloc(8 << 20, 1 << 20).unwrap();
     let h = XorSliceHash::haswell_8slice();
@@ -120,7 +121,19 @@ fn run(cfg: &OpenLoopConfig, arr: &mut dyn Arrivals) -> OpenLoopReport {
         .expect("pool sized to the rings");
     let mut port = Port::new(0, Steering::Rss(Rss::new(cfg.cores)), cfg.queue_depth);
     let mut policy = FixedHeadroom(128);
-    run_openloop(&mut m, &store, &mut pool, &mut port, &mut policy, arr, cfg)
+    let mut records = Vec::new();
+    let rep = run_openloop_streaming(
+        &mut m,
+        &store,
+        &mut pool,
+        &mut port,
+        &mut policy,
+        arr,
+        cfg,
+        &mut records,
+    );
+    assert_eq!(records.len() as u64, rep.completed);
+    (rep, records)
 }
 
 #[test]
@@ -137,11 +150,11 @@ fn random_scenarios_conserve_and_match_across_runs_and_schedulers() {
         reference_cfg.scheduler = Scheduler::ReferenceTick;
         let reference = run(&reference_cfg, &mut arrivals(&s));
 
-        // run_openloop asserted conservation internally; re-assert on
-        // the returned reports so a future refactor can't silently
-        // drop the internal check.
-        first.assert_conservation();
-        reference.assert_conservation();
+        // run_openloop_streaming asserted conservation internally;
+        // re-assert on the returned reports so a future refactor can't
+        // silently drop the internal check.
+        first.0.assert_conservation();
+        reference.0.assert_conservation();
         assert_eq!(
             first, second,
             "iteration {iter} (seed {seed:#x}): repeated run diverged"
@@ -153,7 +166,7 @@ fn random_scenarios_conserve_and_match_across_runs_and_schedulers() {
         // Liveness: the retry loop must terminate with every logical op
         // resolved one way or the other, never wedged in flight.
         assert_eq!(
-            first.completed + first.gave_up,
+            first.0.completed + first.0.gave_up,
             OPS as u64,
             "iteration {iter} (seed {seed:#x}): unresolved logical ops"
         );

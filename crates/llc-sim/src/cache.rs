@@ -121,8 +121,7 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if `set_count` is not a power of two, either dimension is 0,
-    /// `ways` exceeds [`MAX_WAYS`], or the policy rejects `ways` (tree-PLRU
-    /// needs a power of two).
+    /// or `ways` exceeds [`MAX_WAYS`].
     pub fn new(set_count: usize, ways: usize, kind: ReplacementKind, seed: u64) -> Self {
         assert!(set_count.is_power_of_two(), "set count must be 2^k");
         assert!(ways > 0, "need at least one way");
@@ -130,7 +129,6 @@ impl SetAssocCache {
             ways <= MAX_WAYS,
             "{ways} ways: way masks are u64, so a cache has at most 64 ways"
         );
-        kind.check_ways(ways);
         let stride = ways + kind.state_words(ways) + 1;
         let mut words = vec![0; set_count * stride];
         for block in words.chunks_exact_mut(stride) {

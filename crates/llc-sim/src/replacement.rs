@@ -3,17 +3,12 @@
 //! The paper notes that CPUs use "different variations of LRU" (§2) and our
 //! DESIGN.md calls out replacement as an ablation axis, so the policy is
 //! pluggable per cache: true LRU (default, matches the set-filling
-//! methodology of §2.2), tree-PLRU and seeded random (worst-case baseline).
+//! methodology of §2.2) and seeded random (worst-case baseline).
 //!
 //! A policy is a [`ReplacementKind`] plus pure functions over one set's
 //! state words, which live inside the cache's flat array (see
 //! [`crate::cache`]): LRU keeps `ways` last-use stamps followed by the
-//! set's clock; the other policies keep no per-set state.
-//!
-//! Every fill in this model chooses its victim under a way mask (CAT, DDIO,
-//! or all ways), and a tree cannot be restricted to a mask cheaply, so
-//! tree-PLRU draws its masked victim from the cache's seeded RNG exactly
-//! like the random policy; it differs only in requiring `2^k` ways.
+//! set's clock; random keeps no per-set state.
 
 use trafficgen::Rng64;
 
@@ -22,30 +17,16 @@ use trafficgen::Rng64;
 pub enum ReplacementKind {
     /// True least-recently-used.
     Lru,
-    /// Tree pseudo-LRU over a power-of-two way count.
-    TreePlru,
     /// Uniform random victim (seeded, deterministic).
     Random,
 }
 
 impl ReplacementKind {
-    /// Checks that a set of `ways` lines can use this policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`ReplacementKind::TreePlru`] when `ways` is not a power
-    /// of two (the tree needs a complete shape).
-    pub(crate) fn check_ways(self, ways: usize) {
-        if self == ReplacementKind::TreePlru {
-            assert!(ways.is_power_of_two(), "tree-PLRU needs 2^k ways");
-        }
-    }
-
     /// Number of state words one set of `ways` lines needs.
     pub(crate) fn state_words(self, ways: usize) -> usize {
         match self {
             ReplacementKind::Lru => ways + 1,
-            ReplacementKind::TreePlru | ReplacementKind::Random => 0,
+            ReplacementKind::Random => 0,
         }
     }
 
@@ -63,9 +44,9 @@ impl ReplacementKind {
     /// way `i` allowed, every allowed way valid). Used for CAT way
     /// partitioning and DDIO's limited I/O ways (paper §7, §8).
     ///
-    /// LRU takes the smallest stamp, ties to the lowest way. The other
-    /// policies draw `k` from `0..popcount(mask)` and take the `k`-th
-    /// allowed way in ascending order; `rng` is used only by them.
+    /// LRU takes the smallest stamp, ties to the lowest way. Random draws
+    /// `k` from `0..popcount(mask)` and takes the `k`-th allowed way in
+    /// ascending order; `rng` is used only by it.
     ///
     /// # Panics
     ///
@@ -87,7 +68,7 @@ impl ReplacementKind {
                 }
                 best
             }
-            ReplacementKind::TreePlru | ReplacementKind::Random => {
+            ReplacementKind::Random => {
                 let mut rest = mask;
                 for _ in 0..rng.gen_range(0..mask.count_ones() as usize) {
                     rest &= rest - 1;
@@ -101,7 +82,7 @@ impl ReplacementKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ReplacementKind::{Lru, Random, TreePlru};
+    use ReplacementKind::{Lru, Random};
 
     fn rng() -> Rng64 {
         Rng64::seed_from_u64(7)
@@ -147,12 +128,6 @@ mod tests {
     fn masked_rejects_empty_mask() {
         let s = fresh(Lru, 4);
         Lru.victim_masked(&s, &mut rng(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "2^k ways")]
-    fn plru_rejects_non_pow2() {
-        TreePlru.check_ways(20);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! The reference keeps each set as a `Vec` of optional `(line, dirty,
 //! stamp)` slots indexed by way, with textbook LRU (a per-cache counter
 //! stamps every use; the victim is the allowed way with the oldest stamp).
-//! Tree-PLRU and random victims are drawn from the same seeded RNG the
-//! cache uses, by collecting the allowed ways into a `Vec` and indexing it
-//! with `gen_range(0..allowed.len())`. Seeded random streams of every
+//! Random victims are drawn from the same seeded RNG the cache uses, by
+//! collecting the allowed ways into a `Vec` and indexing it with
+//! `gen_range(0..allowed.len())`. Seeded random streams of every
 //! public operation drive both models; every return value, the counters,
 //! the occupancy and the resident-line sequence must agree exactly.
 
@@ -115,9 +115,7 @@ impl RefCache {
                 .iter()
                 .min_by_key(|&&w| self.set(line)[w].expect("full set").stamp)
                 .expect("non-empty"),
-            ReplacementKind::TreePlru | ReplacementKind::Random => {
-                allowed[self.rng.gen_range(0..allowed.len())]
-            }
+            ReplacementKind::Random => allowed[self.rng.gen_range(0..allowed.len())],
         };
         let old = self.set(line)[w].replace(fresh).expect("full set");
         self.touch(line, w);
@@ -254,27 +252,8 @@ fn random_matches_reference_for_1_to_20_ways() {
 }
 
 #[test]
-fn tree_plru_matches_reference_for_power_of_two_ways() {
-    for ways in [1usize, 2, 4, 8, 16] {
-        for (i, sets) in [1usize, 4, 16].into_iter().enumerate() {
-            differential(
-                sets,
-                ways,
-                ReplacementKind::TreePlru,
-                (ways * 3 + i) as u64,
-                4000,
-            );
-        }
-    }
-}
-
-#[test]
 fn sixty_four_ways_match_reference() {
-    for kind in [
-        ReplacementKind::Lru,
-        ReplacementKind::TreePlru,
-        ReplacementKind::Random,
-    ] {
+    for kind in [ReplacementKind::Lru, ReplacementKind::Random] {
         differential(2, 64, kind, 64, 3000);
     }
 }

@@ -69,6 +69,6 @@ pub mod steering;
 pub use fault::{Axis, FaultPlan, FaultState, FrameFault, Window};
 pub use mbuf::{MbufMeta, MBUF_META_SIZE};
 pub use mempool::MbufPool;
-pub use nic::{tx_wire, FixedHeadroom, HeadroomPolicy, Port, RxCompletion};
+pub use nic::{FixedHeadroom, HeadroomPolicy, Port, RxCompletion};
 pub use ring::Ring;
 pub use steering::{FlowDirector, Rss, Steering};

@@ -454,13 +454,10 @@ impl Port {
         (batch, cycles)
     }
 
-    /// PMD: transmits frames and recycles their buffers. The NIC DMA-reads
-    /// each frame (untimed for the core); per-descriptor doorbell cost is
-    /// charged to `core`.
-    ///
-    /// Equivalent to [`tx_wire`] (the worker-side, timed half) followed by
-    /// [`Port::tx_commit`] (the stats + recycle half, deferred to the
-    /// engine's epoch merge).
+    /// PMD: transmits frames and recycles their buffers — the only
+    /// transmit path. Per descriptor, the doorbell store is charged to
+    /// `core` and the NIC DMA-reads the frame (untimed for the core);
+    /// then the frame is counted and its buffer goes back to the pool.
     pub fn tx_burst(
         &mut self,
         m: &mut Machine,
@@ -468,36 +465,18 @@ impl Port {
         core: usize,
         frames: &[TxDesc],
     ) -> Cycles {
-        let cycles = tx_wire(m, core, frames);
-        self.tx_commit(pool, frames);
-        cycles
-    }
-
-    /// The merge-side half of a transmit: counts the frames and
-    /// recycles their buffers. The timed wire work ([`tx_wire`]) must have
-    /// been charged on the transmitting core already.
-    pub fn tx_commit(&mut self, pool: &mut MbufPool, frames: &[TxDesc]) {
+        let mut cycles = 0;
+        let mut scratch = vec![0u8; 2048];
         for d in frames {
+            // Doorbell/descriptor write: one store.
+            cycles += m.touch_write(core, d.data_pa);
+            m.dma_read(d.data_pa, &mut scratch[..d.len as usize]);
             self.stats.tx_pkts += 1;
             self.stats.tx_bytes += u64::from(d.len);
             pool.put(d.mbuf);
         }
+        cycles
     }
-}
-
-/// The worker-side half of a transmit: the per-descriptor doorbell store
-/// (timed on `core`) and the NIC's DMA read of each frame. Touches no
-/// port state: the engine runs it in the worker's poll and defers
-/// [`Port::tx_commit`] to the epoch merge.
-pub fn tx_wire(m: &mut Machine, core: usize, frames: &[TxDesc]) -> Cycles {
-    let mut cycles = 0;
-    let mut scratch = vec![0u8; 2048];
-    for d in frames {
-        // Doorbell/descriptor write: one store.
-        cycles += m.touch_write(core, d.data_pa);
-        m.dma_read(d.data_pa, &mut scratch[..d.len as usize]);
-    }
-    cycles
 }
 
 #[cfg(test)]

@@ -71,10 +71,10 @@ pub struct TenantApp<'s> {
     pub thrash_per_packet: usize,
     /// xorshift64 state for the random pressure walk.
     pub rng: u64,
-    /// One `(serve-completion ns, responded)` entry per delivered
-    /// frame, in processing order — drained by the control hook and
-    /// matched against the harness's per-queue arrival FIFO.
-    pub outcomes: Vec<(f64, bool)>,
+    /// One sojourn latency (serve completion minus the NIC's arrival
+    /// stamp, ns) per responded frame, in processing order — drained
+    /// by the control hook into the tenant's latency window.
+    pub latencies: Vec<f64>,
     /// Frames that produced a response.
     pub served_ok: u64,
     /// Frames dropped in the app (parse/serve failures).
@@ -108,7 +108,6 @@ impl QueueApp for TenantApp<'_> {
         let (hdr, _) = nfv::packet::parse_header(ctx.m, ctx.core, comp.data_pa, comp.len.into());
         if hdr.is_none() {
             self.app_dropped += 1;
-            self.outcomes.push((ctx.wall_ns(), false));
             return Verdict::Drop;
         }
         if !self.pressure.is_empty() {
@@ -154,13 +153,12 @@ impl QueueApp for TenantApp<'_> {
                 })
             }
         };
-        let ok = matches!(verdict, Verdict::Tx(_));
-        if ok {
+        if matches!(verdict, Verdict::Tx(_)) {
             self.served_ok += 1;
+            self.latencies.push(ctx.wall_ns() - comp.arrival_ns);
         } else {
             self.app_dropped += 1;
         }
-        self.outcomes.push((ctx.wall_ns(), ok));
         verdict
     }
 }

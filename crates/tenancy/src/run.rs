@@ -48,8 +48,8 @@
 //! # Determinism
 //!
 //! Control epochs fire at fixed virtual times in both schedulers;
-//! observations are derived from machine state and canonical-order
-//! outcome logs; the controller is a pure function of its observations.
+//! observations are derived from machine state and worker-order
+//! latency logs; the controller is a pure function of its observations.
 //! Reports are therefore bit-identical across the event-driven and
 //! reference-tick schedulers — asserted by the repo's determinism
 //! battery and the `fig_tenants` golden.
@@ -73,7 +73,6 @@ use rte::nic::{FixedHeadroom, Port};
 use rte::steering::{Rss, Steering};
 use slice_aware::alloc::SliceAllocator;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 use trafficgen::{FlowTuple, Phase, PhaseSchedule, ZipfGen};
 use xstats::{slo_violation_ns, Summary};
@@ -189,8 +188,8 @@ pub struct TenancyConfig {
     /// reports).
     pub scheduler: Scheduler,
     /// Fault plan (composes with the storm chaos). Must not contain
-    /// TX-stall windows — FIFO completion matching, as in
-    /// `kvs::openloop`.
+    /// TX-stall windows: a stalled frame counts as served but is never
+    /// delivered.
     pub faults: FaultPlan,
     /// RNG seed (request streams and pressure walks).
     pub seed: u64,
@@ -270,11 +269,9 @@ pub struct TenancyReport {
     pub per_group: Vec<engine::QueueLedger>,
 }
 
-/// Everything the control hook and the harness share: the per-queue
-/// FIFO of accepted arrival times (the latency match), the latency
-/// windows, and the controller itself.
+/// Everything the control hook and the harness share: the latency
+/// windows and the controller itself.
 struct RunShared {
-    fifos: Vec<VecDeque<f64>>,
     windows: Vec<Vec<f64>>,
     all_latencies: Vec<Vec<f64>>,
     ctrl: IsolationController,
@@ -282,22 +279,13 @@ struct RunShared {
     act: bool,
 }
 
-/// Matches drained outcome logs against the arrival FIFOs, in canonical
-/// worker order — the same FIFO-matching contract as `kvs::openloop`.
+/// Drains every worker's latency log into its tenant's window and
+/// run-long sample, in worker order.
 fn drain_apps(apps: &mut [TenantApp<'_>], sh: &mut RunShared) {
-    for (w, app) in apps.iter_mut().enumerate() {
-        let log = std::mem::take(&mut app.outcomes);
-        let tenant = app.tenant;
-        for (t, ok) in log {
-            let arr = sh.fifos[w]
-                .pop_front()
-                .expect("an outcome implies an accepted attempt at this queue's FIFO head");
-            if ok {
-                let lat = t - arr;
-                sh.windows[tenant].push(lat);
-                sh.all_latencies[tenant].push(lat);
-            }
-        }
+    for app in apps.iter_mut() {
+        let t = app.tenant;
+        sh.windows[t].extend_from_slice(&app.latencies);
+        sh.all_latencies[t].append(&mut app.latencies);
     }
 }
 
@@ -371,8 +359,8 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
     assert!(cfg.packets > 0, "empty run");
     assert!(
         cfg.faults.tx_stall.is_empty(),
-        "tenancy completion matching requires a plan without TX-stall \
-         windows (a TX-stalled frame is served but produces no response)"
+        "tenancy requires a plan without TX-stall windows (a stalled \
+         frame counts as served but is never delivered)"
     );
 
     let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(256 << 20));
@@ -472,7 +460,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
                 )),
                 thrash_per_packet: THRASH_READS,
                 rng: (cfg.seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) | 1,
-                outcomes: Vec::new(),
+                latencies: Vec::new(),
                 served_ok: 0,
                 app_dropped: 0,
             }
@@ -511,7 +499,6 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         initial_ways.to_vec(),
     );
     let shared = Rc::new(RefCell::new(RunShared {
-        fifos: vec![VecDeque::new(); queues],
         windows: vec![Vec::new(); TENANTS],
         all_latencies: vec![Vec::new(); TENANTS],
         fill_base: hw.m.uncore().snapshot(),
@@ -582,10 +569,7 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
         issued[tenant] += 1;
         let res = eng.offer(&mut hw, &flows[q], &frame, t);
         match res {
-            Ok(_) => {
-                accepted[tenant] += 1;
-                shared.borrow_mut().fifos[q].push_back(t);
-            }
+            Ok(_) => accepted[tenant] += 1,
             Err(_) => rejected[tenant] += 1,
         }
         // Schedule this tenant's next arrival.
@@ -614,13 +598,6 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
     {
         let sh = &mut *shared.borrow_mut();
         drain_apps(&mut apps, sh);
-        for (q, fifo) in sh.fifos.iter().enumerate() {
-            assert!(
-                fifo.is_empty(),
-                "queue {q}: {} accepted frames never produced an outcome",
-                fifo.len()
-            );
-        }
         sh.ctrl.finalize(rep.duration_ns.max(t_final));
     }
 
@@ -628,8 +605,10 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
     // per-group one (the groups are the tenants).
     assert_eq!(rep.per_group.len(), TENANTS, "one ledger group per tenant");
     let mut served = [0u64; TENANTS];
+    let mut app_dropped = [0u64; TENANTS];
     for a in &apps {
         served[a.tenant] += a.served_ok;
+        app_dropped[a.tenant] += a.app_dropped;
     }
     for t in 0..TENANTS {
         assert_eq!(
@@ -637,6 +616,11 @@ pub fn run_tenancy(cfg: &TenancyConfig) -> TenancyReport {
             "tenant {t}: engine group ledger disagrees with the harness"
         );
         assert_eq!(rep.per_group[t].delivered, served[t]);
+        assert_eq!(
+            accepted[t],
+            served[t] + app_dropped[t],
+            "tenant {t}: every accepted frame is served or dropped by its app"
+        );
     }
 
     let shared = Rc::try_unwrap(shared)

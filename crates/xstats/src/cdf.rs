@@ -30,27 +30,13 @@ impl Cdf {
     ///
     /// Total over all inputs: `q <= 0` returns the smallest sample,
     /// `q > 1` the largest, and a non-finite `q` returns `f64::NAN`.
-    /// Use [`Cdf::try_quantile`] to detect out-of-range requests
-    /// instead of absorbing them.
     pub fn quantile(&self, q: f64) -> f64 {
         if !q.is_finite() {
             return f64::NAN;
         }
-        if q <= 0.0 {
-            return self.sorted[0];
-        }
-        self.try_quantile(q.min(1.0))
-            .expect("clamped q is in range")
-    }
-
-    /// Inverse CDF; `None` when `q` is non-finite or outside `(0, 1]`.
-    pub fn try_quantile(&self, q: f64) -> Option<f64> {
-        if !(q.is_finite() && q > 0.0 && q <= 1.0) {
-            return None;
-        }
         let n = self.sorted.len();
-        let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-        Some(self.sorted[idx])
+        let idx = ((q.min(1.0) * n as f64).ceil() as usize).clamp(1, n) - 1;
+        self.sorted[idx]
     }
 
     /// Number of samples.
@@ -135,16 +121,6 @@ mod tests {
         // Non-finite q yields NaN rather than a panic.
         assert!(c.quantile(f64::NAN).is_nan());
         assert!(c.quantile(f64::NEG_INFINITY).is_nan());
-    }
-
-    #[test]
-    fn try_quantile_is_strict() {
-        let c = cdf(&[10.0, 20.0, 30.0]);
-        assert_eq!(c.try_quantile(0.5), Some(20.0));
-        assert_eq!(c.try_quantile(1.0), Some(30.0));
-        assert_eq!(c.try_quantile(0.0), None);
-        assert_eq!(c.try_quantile(1.1), None);
-        assert_eq!(c.try_quantile(f64::NAN), None);
     }
 
     #[test]

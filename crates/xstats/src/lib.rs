@@ -27,7 +27,4 @@ pub use fit::{piecewise_knee_fit, LinearFit, PiecewiseFit, QuadraticFit};
 pub use hist::Histogram;
 pub use percentile::Summary;
 pub use sketch::LogHist;
-pub use slo::{
-    slo_violation_ns, time_above_threshold, try_slo_violation_ns, try_time_above_threshold,
-    try_violation_minutes, violation_minutes,
-};
+pub use slo::{slo_violation_ns, violation_minutes};

@@ -94,31 +94,20 @@ impl Summary {
     /// Total over all inputs: `p` outside `[0, 100]` is clamped to the
     /// range (so `percentile(-3.0) == min()` and
     /// `percentile(250.0) == max()`), and a non-finite `p` returns
-    /// `f64::NAN`. Use [`Summary::try_percentile`] to detect
-    /// out-of-range requests instead of absorbing them.
+    /// `f64::NAN`.
     pub fn percentile(&self, p: f64) -> f64 {
         if !p.is_finite() {
             return f64::NAN;
         }
-        self.try_percentile(p.clamp(0.0, 100.0))
-            .expect("clamped p is in range")
-    }
-
-    /// Linear-interpolation percentile, `p` in `[0, 100]`; `None` when
-    /// `p` is non-finite or outside the range.
-    pub fn try_percentile(&self, p: f64) -> Option<f64> {
-        if !(p.is_finite() && (0.0..=100.0).contains(&p)) {
-            return None;
-        }
         let n = self.sorted.len();
         if n == 1 {
-            return Some(self.sorted[0]);
+            return self.sorted[0];
         }
-        let rank = p / 100.0 * (n - 1) as f64;
+        let rank = p.clamp(0.0, 100.0) / 100.0 * (n - 1) as f64;
         let lo = rank.floor() as usize;
         let hi = rank.ceil() as usize;
         let frac = rank - lo as f64;
-        Some(self.sorted[lo] + (self.sorted[hi] - self.sorted[lo]) * frac)
+        self.sorted[lo] + (self.sorted[hi] - self.sorted[lo]) * frac
     }
 
     /// The paper's standard report row: 75th, 90th, 95th, 99th percentiles
@@ -241,17 +230,6 @@ mod tests {
         // Non-finite p yields NaN rather than a panic.
         assert!(s.percentile(f64::NAN).is_nan());
         assert!(s.percentile(f64::INFINITY).is_nan());
-    }
-
-    #[test]
-    fn try_percentile_is_strict() {
-        let s = summary(&[10.0, 20.0, 30.0]);
-        assert_eq!(s.try_percentile(50.0), Some(20.0));
-        assert_eq!(s.try_percentile(0.0), Some(10.0));
-        assert_eq!(s.try_percentile(100.0), Some(30.0));
-        assert_eq!(s.try_percentile(100.1), None);
-        assert_eq!(s.try_percentile(-0.1), None);
-        assert_eq!(s.try_percentile(f64::NAN), None);
     }
 
     #[test]
