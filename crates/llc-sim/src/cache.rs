@@ -16,10 +16,13 @@
 //! | tag[0] .. tag[ways-1] | replacement state | valid |
 //! ```
 //!
-//! * A tag packs `line << 1 | dirty`. An empty way holds [`EMPTY`]
-//!   (`u64::MAX`), which no packed tag can equal because a line number is
-//!   a physical address shifted right by 6, so `line < 2^58`. A lookup
-//!   therefore compares tags without consulting the valid mask.
+//! * A tag packs `line << 9 | sharers << 1 | dirty`. `sharers` is an
+//!   8-bit core-valid mask that only the machine's inclusive LLC gives a
+//!   meaning to (see [`crate::hierarchy`]); private caches leave it 0.
+//!   An empty way holds [`EMPTY`] (`u64::MAX`), which no packed tag can
+//!   equal because `line < 2^54` ([`SetAssocCache::insert_masked`]
+//!   asserts it; a physical address shifted right by 6 is far below). A
+//!   lookup therefore compares tags without consulting the valid mask.
 //! * The replacement state is whatever the policy keeps per set (see
 //!   [`crate::replacement`]): `ways` LRU stamps followed by the set's
 //!   clock, or nothing.
@@ -31,8 +34,33 @@
 use crate::replacement::ReplacementKind;
 use trafficgen::Rng64;
 
-/// Tag word of an empty way. Never a packed tag, since `line < 2^58`.
+/// Tag word of an empty way. Never a packed tag, since `line < 2^54`.
 const EMPTY: u64 = u64::MAX;
+
+/// Where the line number starts in a packed tag.
+const LINE_SHIFT: u32 = 9;
+
+/// The sharer-mask field of a packed tag (bits 1..=8).
+const SHARER_FIELD: u64 = 0xff << 1;
+
+/// How many cores a sharer mask can name.
+pub(crate) const MAX_SHARERS: usize = 8;
+
+/// Packs a tag.
+#[inline]
+fn pack(line: u64, sharers: u8, dirty: bool) -> u64 {
+    line << LINE_SHIFT | u64::from(sharers) << 1 | u64::from(dirty)
+}
+
+/// Unpacks a tag that holds a line.
+#[inline]
+fn unpack(tag: u64) -> Evicted {
+    Evicted {
+        line: tag >> LINE_SHIFT,
+        dirty: tag & 1 == 1,
+        sharers: (tag >> 1) as u8,
+    }
+}
 
 /// The largest associativity a `u64` way mask can address.
 pub(crate) const MAX_WAYS: usize = 64;
@@ -58,6 +86,17 @@ pub struct Evicted {
     pub line: u64,
     /// Whether the line held modified data that must be written downstream.
     pub dirty: bool,
+    /// The line's sharer mask (0 unless the owner sets one).
+    pub sharers: u8,
+}
+
+/// What [`SetAssocCache::place`] found and displaced.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placed {
+    /// The sharer mask the line had when it was already resident.
+    pub resident: Option<u8>,
+    /// The line evicted to make room when it was not.
+    pub evicted: Option<Evicted>,
 }
 
 /// Hit/miss/fill statistics for one cache.
@@ -94,7 +133,7 @@ impl<'a> Set<'a> {
 /// The way holding `line`, if any.
 #[inline]
 fn find(tags: &[u64], line: u64) -> Option<usize> {
-    tags.iter().position(|&t| t >> 1 == line)
+    tags.iter().position(|&t| t >> LINE_SHIFT == line)
 }
 
 /// A set-associative cache of line numbers with write-back semantics.
@@ -193,11 +232,20 @@ impl SetAssocCache {
 
     /// Looks up `line`; on a hit updates recency and returns whether the
     /// line was dirty.
+    #[inline]
     pub fn lookup(&mut self, line: u64) -> Option<bool> {
+        self.lookup_sharing(line, 0)
+    }
+
+    /// [`SetAssocCache::lookup`] that also ORs `sharers` into a hit
+    /// line's sharer mask, in the same scan.
+    #[inline]
+    pub fn lookup_sharing(&mut self, line: u64, sharers: u8) -> Option<bool> {
         let kind = self.kind;
         let set = self.set_mut(line);
         let hit = find(set.tags, line).map(|w| {
             kind.touch(set.state, w);
+            set.tags[w] |= u64::from(sharers) << 1;
             set.tags[w] & 1 == 1
         });
         if hit.is_some() {
@@ -214,6 +262,13 @@ impl SetAssocCache {
         find(self.tags(line), line).is_some()
     }
 
+    /// The sharer mask of `line` when resident; an observation like
+    /// [`SetAssocCache::probe`].
+    pub fn sharers(&self, line: u64) -> Option<u8> {
+        let tags = self.tags(line);
+        find(tags, line).map(|w| unpack(tags[w]).sharers)
+    }
+
     /// Marks a resident line dirty; returns false when not resident.
     pub fn mark_dirty(&mut self, line: u64) -> bool {
         let set = self.set_mut(line);
@@ -228,6 +283,7 @@ impl SetAssocCache {
 
     /// Inserts `line`, evicting if the set is full. Equivalent to
     /// [`SetAssocCache::insert_masked`] with an all-ways mask.
+    #[inline]
     pub fn insert(&mut self, line: u64, dirty: bool) -> Option<Evicted> {
         self.insert_masked(line, dirty, u64::MAX)
     }
@@ -248,46 +304,99 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics when `mask` selects no existing way, or when `line` is not a
-    /// line number (`line >= 2^58`), which a packed tag cannot hold.
+    /// line number a packed tag can hold (`line >= 2^54`).
+    #[inline]
     pub fn insert_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Option<Evicted> {
-        assert!(line < 1 << 58, "{line:#x} is not a line number");
+        self.insert_sharing(line, dirty, 0, mask)
+    }
+
+    /// [`SetAssocCache::insert_masked`] that ORs `sharers` into the line's
+    /// sharer mask, whether it was resident or is new.
+    #[inline]
+    pub fn insert_sharing(
+        &mut self,
+        line: u64,
+        dirty: bool,
+        sharers: u8,
+        mask: u64,
+    ) -> Option<Evicted> {
+        self.fill::<true>(line, dirty, sharers, mask).evicted
+    }
+
+    /// [`SetAssocCache::insert_masked`] that *replaces* the line's sharer
+    /// mask with `sharers` and reports the old one: a probe, an insert and
+    /// a sharer read in one scan of the set, as a DMA write needs.
+    #[inline]
+    pub fn place(&mut self, line: u64, dirty: bool, sharers: u8, mask: u64) -> Placed {
+        self.fill::<false>(line, dirty, sharers, mask)
+    }
+
+    /// The fill rule shared by the insert variants. A resident line keeps
+    /// its old sharers ORed with `sharers` when `MERGE`, else takes
+    /// `sharers` alone.
+    #[inline(always)]
+    fn fill<const MERGE: bool>(
+        &mut self,
+        line: u64,
+        dirty: bool,
+        sharers: u8,
+        mask: u64,
+    ) -> Placed {
+        assert!(line < 1 << 54, "{line:#x} is not a line number");
         let (kind, allowed) = (self.kind, mask & self.all_ways);
         let base = self.set_of(line) * self.stride;
         let set = Set::split(&mut self.words[base..base + self.stride], self.ways);
-        // Already resident: update dirtiness and recency.
+        let tag = pack(line, sharers, dirty);
+        // Already resident: update dirtiness, sharers and recency.
         if let Some(w) = find(set.tags, line) {
-            set.tags[w] |= u64::from(dirty);
+            let old = set.tags[w];
+            set.tags[w] = if MERGE {
+                old | tag
+            } else {
+                old & !SHARER_FIELD | tag
+            };
             kind.touch(set.state, w);
-            return None;
+            return Placed {
+                resident: Some(unpack(old).sharers),
+                evicted: None,
+            };
         }
         self.stats.fills += 1;
-        let tag = line << 1 | u64::from(dirty);
         let free = !*set.valid & allowed;
-        if free != 0 {
+        let evicted = if free != 0 {
             let w = free.trailing_zeros() as usize;
             set.tags[w] = tag;
             *set.valid |= 1 << w;
             kind.touch(set.state, w);
-            return None;
+            None
+        } else {
+            // Every allowed way is valid here, so the victim holds a line.
+            let w = kind.victim_masked(set.state, &mut self.rng, allowed);
+            let old = std::mem::replace(&mut set.tags[w], tag);
+            kind.touch(set.state, w);
+            self.stats.evictions += 1;
+            Some(unpack(old))
+        };
+        Placed {
+            resident: None,
+            evicted,
         }
-        // Every allowed way is valid here, so the victim holds a line.
-        let w = kind.victim_masked(set.state, &mut self.rng, allowed);
-        let old = std::mem::replace(&mut set.tags[w], tag);
-        kind.touch(set.state, w);
-        self.stats.evictions += 1;
-        Some(Evicted {
-            line: old >> 1,
-            dirty: old & 1 == 1,
-        })
     }
 
     /// Removes `line` if resident, returning whether it was dirty.
+    #[inline]
     pub fn invalidate(&mut self, line: u64) -> Option<bool> {
+        self.take(line).map(|ev| ev.dirty)
+    }
+
+    /// Removes `line` if resident, returning everything its tag held.
+    #[inline]
+    pub fn take(&mut self, line: u64) -> Option<Evicted> {
         let w = find(self.tags(line), line)?;
         let set = self.set_mut(line);
         let old = std::mem::replace(&mut set.tags[w], EMPTY);
         *set.valid &= !(1 << w);
-        Some(old & 1 == 1)
+        Some(unpack(old))
     }
 
     /// Number of currently valid lines (test/inspection helper).
@@ -305,7 +414,7 @@ impl SetAssocCache {
             block[..self.ways]
                 .iter()
                 .filter(|&&t| t != EMPTY)
-                .map(|&t| (t >> 1, t & 1 == 1))
+                .map(|&t| (t >> LINE_SHIFT, t & 1 == 1))
         })
     }
 }
@@ -481,6 +590,29 @@ mod tests {
     #[should_panic(expected = "not a line number")]
     fn rejects_lines_a_tag_cannot_pack() {
         cache(1, 2).insert(1 << 58, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a line number")]
+    fn rejects_lines_that_overlap_the_sharer_field() {
+        cache(1, 2).insert(1 << 54, false);
+    }
+
+    #[test]
+    fn sharers_merge_on_insert_and_are_replaced_by_place() {
+        let mut c = cache(1, 2);
+        c.insert_sharing(3, false, 0b01, u64::MAX);
+        c.lookup_sharing(3, 0b10);
+        assert_eq!(c.sharers(3), Some(0b11));
+        let placed = c.place(3, true, 0, u64::MAX);
+        assert_eq!(placed.resident, Some(0b11));
+        assert_eq!(c.sharers(3), Some(0));
+        c.insert_sharing(4, false, 0b100, u64::MAX);
+        let placed = c.place(5, false, 0, u64::MAX);
+        assert_eq!(placed.resident, None);
+        let ev = placed.evicted.expect("set full");
+        assert_eq!((ev.line, ev.dirty, ev.sharers), (3, true, 0));
+        assert_eq!(c.take(4).map(|ev| ev.sharers), Some(0b100));
     }
 
     #[test]

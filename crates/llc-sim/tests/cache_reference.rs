@@ -2,15 +2,16 @@
 //! reference model.
 //!
 //! The reference keeps each set as a `Vec` of optional `(line, dirty,
-//! stamp)` slots indexed by way, with textbook LRU (a per-cache counter
-//! stamps every use; the victim is the allowed way with the oldest stamp).
+//! sharers, stamp)` slots indexed by way, with textbook LRU (a
+//! per-cache counter stamps every use; the victim is the allowed way
+//! with the oldest stamp).
 //! Random victims are drawn from the same seeded RNG the cache uses, by
 //! collecting the allowed ways into a `Vec` and indexing it with
 //! `gen_range(0..allowed.len())`. Seeded random streams of every
 //! public operation drive both models; every return value, the counters,
 //! the occupancy and the resident-line sequence must agree exactly.
 
-use llc_sim::cache::{CacheStats, Evicted, SetAssocCache};
+use llc_sim::cache::{CacheStats, Evicted, Placed, SetAssocCache};
 use llc_sim::replacement::ReplacementKind;
 use trafficgen::Rng64;
 
@@ -19,6 +20,7 @@ use trafficgen::Rng64;
 struct Slot {
     line: u64,
     dirty: bool,
+    sharers: u8,
     stamp: u64,
 }
 
@@ -62,12 +64,14 @@ impl RefCache {
             .stamp = stamp;
     }
 
-    fn lookup(&mut self, line: u64) -> Option<bool> {
+    fn lookup_sharing(&mut self, line: u64, sharers: u8) -> Option<bool> {
         match self.way_of(line) {
             Some(w) => {
                 self.stats.hits += 1;
                 self.touch(line, w);
-                self.set(line)[w].map(|s| s.dirty)
+                let slot = self.set(line)[w].as_mut().expect("found");
+                slot.sharers |= sharers;
+                Some(slot.dirty)
             }
             None => {
                 self.stats.misses += 1;
@@ -80,6 +84,11 @@ impl RefCache {
         self.way_of(line).is_some()
     }
 
+    fn sharers(&mut self, line: u64) -> Option<u8> {
+        let w = self.way_of(line)?;
+        self.set(line)[w].map(|s| s.sharers)
+    }
+
     fn mark_dirty(&mut self, line: u64) -> bool {
         match self.way_of(line) {
             Some(w) => {
@@ -90,18 +99,38 @@ impl RefCache {
         }
     }
 
-    fn insert_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Option<Evicted> {
+    /// The fill rule of every insert variant: a resident line ORs in
+    /// `sharers` when `merge`, else takes them alone.
+    fn fill(&mut self, line: u64, dirty: bool, sharers: u8, mask: u64, merge: bool) -> Placed {
         if let Some(w) = self.way_of(line) {
-            self.set(line)[w].as_mut().expect("found").dirty |= dirty;
+            let slot = self.set(line)[w].as_mut().expect("found");
+            let old = slot.sharers;
+            slot.dirty |= dirty;
+            slot.sharers = if merge { old | sharers } else { sharers };
             self.touch(line, w);
-            return None;
+            return Placed {
+                resident: Some(old),
+                evicted: None,
+            };
         }
+        Placed {
+            resident: None,
+            evicted: self.allocate(line, dirty, sharers, mask),
+        }
+    }
+
+    fn insert_masked(&mut self, line: u64, dirty: bool, mask: u64) -> Option<Evicted> {
+        self.fill(line, dirty, 0, mask, true).evicted
+    }
+
+    fn allocate(&mut self, line: u64, dirty: bool, sharers: u8, mask: u64) -> Option<Evicted> {
         self.stats.fills += 1;
         let ways = self.set(line).len();
         let allowed: Vec<usize> = (0..ways).filter(|&w| mask >> w & 1 == 1).collect();
         let fresh = Slot {
             line,
             dirty,
+            sharers,
             stamp: 0,
         };
         if let Some(&w) = allowed.iter().find(|&&w| self.set(line)[w].is_none()) {
@@ -123,12 +152,17 @@ impl RefCache {
         Some(Evicted {
             line: old.line,
             dirty: old.dirty,
+            sharers: old.sharers,
         })
     }
 
-    fn invalidate(&mut self, line: u64) -> Option<bool> {
+    fn take(&mut self, line: u64) -> Option<Evicted> {
         let w = self.way_of(line)?;
-        self.set(line)[w].take().map(|s| s.dirty)
+        self.set(line)[w].take().map(|s| Evicted {
+            line: s.line,
+            dirty: s.dirty,
+            sharers: s.sharers,
+        })
     }
 
     fn occupancy(&self) -> usize {
@@ -172,17 +206,30 @@ fn draw_mask(rng: &mut Rng64, ways: usize) -> u64 {
 }
 
 /// Drives both models with `ops` random operations and compares them.
-fn differential(set_count: usize, ways: usize, kind: ReplacementKind, seed: u64, ops: usize) {
+/// With `sharing`, the stream also draws the sharer-mask operations.
+fn differential(
+    set_count: usize,
+    ways: usize,
+    kind: ReplacementKind,
+    seed: u64,
+    ops: usize,
+    sharing: bool,
+) {
     let mut cache = SetAssocCache::new(set_count, ways, kind, seed);
     let mut reference = RefCache::new(set_count, ways, kind, seed);
     let mut rng = Rng64::seed_from_u64(seed ^ 0xd1ff);
     // Twice as many distinct lines per set as ways, so sets fill and evict.
     let span = (set_count * (2 * ways + 1)) as u64;
     let ctx = format!("{set_count} sets x {ways} ways, {kind:?}, seed {seed}");
+    let kinds = if sharing { 15 } else { 10 };
     for op in 0..ops {
         let line = rng.gen_range(0..span);
-        match rng.gen_range(0u32..10) {
-            0..=2 => assert_eq!(cache.lookup(line), reference.lookup(line), "lookup, {ctx}"),
+        match rng.gen_range(0u32..kinds) {
+            0..=2 => assert_eq!(
+                cache.lookup(line),
+                reference.lookup_sharing(line, 0),
+                "lookup, {ctx}"
+            ),
             3 => assert_eq!(cache.probe(line), reference.probe(line), "probe, {ctx}"),
             4 | 5 => {
                 let dirty = rng.gen_range(0u32..2) == 1;
@@ -206,10 +253,42 @@ fn differential(set_count: usize, ways: usize, kind: ReplacementKind, seed: u64,
                 reference.mark_dirty(line),
                 "mark_dirty, {ctx}"
             ),
-            _ => assert_eq!(
+            9 => assert_eq!(
                 cache.invalidate(line),
-                reference.invalidate(line),
+                reference.take(line).map(|ev| ev.dirty),
                 "invalidate, {ctx}"
+            ),
+            10 => {
+                let sharers = rng.next_u64() as u8;
+                assert_eq!(
+                    cache.lookup_sharing(line, sharers),
+                    reference.lookup_sharing(line, sharers),
+                    "lookup_sharing {sharers:#x}, {ctx}"
+                );
+            }
+            11 => {
+                let (dirty, sharers) = (rng.gen_range(0u32..2) == 1, rng.next_u64() as u8);
+                let mask = draw_mask(&mut rng, ways);
+                assert_eq!(
+                    cache.insert_sharing(line, dirty, sharers, mask),
+                    reference.fill(line, dirty, sharers, mask, true).evicted,
+                    "insert_sharing {sharers:#x} {mask:#x}, {ctx}"
+                );
+            }
+            12 => {
+                let (dirty, sharers) = (rng.gen_range(0u32..2) == 1, rng.next_u64() as u8);
+                let mask = draw_mask(&mut rng, ways);
+                assert_eq!(
+                    cache.place(line, dirty, sharers, mask),
+                    reference.fill(line, dirty, sharers, mask, false),
+                    "place {sharers:#x} {mask:#x}, {ctx}"
+                );
+            }
+            13 => assert_eq!(cache.take(line), reference.take(line), "take, {ctx}"),
+            _ => assert_eq!(
+                cache.sharers(line),
+                reference.sharers(line),
+                "sharers, {ctx}"
             ),
         }
         assert_eq!(cache.stats(), reference.stats, "stats after op {op}, {ctx}");
@@ -231,6 +310,7 @@ fn lru_matches_reference_for_1_to_20_ways() {
                 ReplacementKind::Lru,
                 (ways * 3 + i) as u64,
                 4000,
+                false,
             );
         }
     }
@@ -246,6 +326,7 @@ fn random_matches_reference_for_1_to_20_ways() {
                 ReplacementKind::Random,
                 (ways * 3 + i) as u64,
                 4000,
+                false,
             );
         }
     }
@@ -254,6 +335,19 @@ fn random_matches_reference_for_1_to_20_ways() {
 #[test]
 fn sixty_four_ways_match_reference() {
     for kind in [ReplacementKind::Lru, ReplacementKind::Random] {
-        differential(2, 64, kind, 64, 3000);
+        differential(2, 64, kind, 64, 3000, false);
+    }
+}
+
+/// The sharer-mask operations (merging lookups and inserts, replacing
+/// placements, takes and reads) interleaved with all of the above.
+#[test]
+fn sharer_ops_match_reference() {
+    for kind in [ReplacementKind::Lru, ReplacementKind::Random] {
+        for ways in [1usize, 2, 8, 20, 64] {
+            for (i, sets) in [1usize, 16].into_iter().enumerate() {
+                differential(sets, ways, kind, (ways * 7 + i) as u64, 3000, true);
+            }
+        }
     }
 }
