@@ -33,17 +33,11 @@
 //! invalidates the private copies resets it, and a silent private
 //! eviction leaves it alone. A DMA, an inclusive back-invalidation or a
 //! `clflush` then invalidates only the cores in the mask, which visits
-//! exactly the caches a walk over every core would change.
-//!
-//! Two paths leave private copies of a line the LLC no longer holds: a
-//! DDIO placement evicts its victim without back-invalidating it, and a
-//! demand fill's L2 write-back cascade can evict the demand line from
-//! the LLC before the line reaches L1. The **orphan ledger** keeps the sharers of such lines
-//! until the line is DMA'd, flushed or refilled into the LLC, which
-//! takes the entry. In [`LlcMode::Victim`] L2 lines are not in the LLC,
-//! so every such walk still visits every core.
-
-use std::collections::HashMap;
+//! exactly the caches a walk over every core would change. Every LLC
+//! eviction back-invalidates its victim, a DDIO placement's included, so
+//! inclusion holds at all times ([`Machine::check_inclusion`]). In
+//! [`LlcMode::Victim`] L2 lines are not in the LLC, so every such walk
+//! still visits every core, and a DDIO victim keeps its private copies.
 
 use crate::addr::{split_lines, PhysAddr};
 use crate::cache::{low_ways, SetAssocCache, MAX_SHARERS};
@@ -66,14 +60,6 @@ pub enum AccessKind {
     Write,
 }
 
-/// Sharers of lines that private caches may hold but the LLC does not.
-/// Nothing depends on its iteration order, so its default hasher's
-/// per-process seed cannot change any result.
-type OrphanLedger = HashMap<u64, u8>;
-
-/// No line is being filled (see `Machine::filling`).
-const NOT_FILLING: u64 = u64::MAX;
-
 /// The simulated socket. See the module docs for the cost model.
 pub struct Machine {
     cfg: MachineConfig,
@@ -89,12 +75,6 @@ pub struct Machine {
     streamer: Vec<StreamerState>,
     cat_mask: Vec<u64>,
     ddio_mask: u64,
-    /// Inclusive mode: sharers of private lines missing from the LLC.
-    orphans: OrphanLedger,
-    /// The ledger is pruned when it grows past this many entries.
-    orphan_cap: usize,
-    /// The line a demand miss is bringing into L1, or [`NOT_FILLING`].
-    filling: u64,
 }
 
 impl std::fmt::Debug for Machine {
@@ -154,7 +134,6 @@ impl Machine {
             .map(|i| mk(cfg.llc_slice, cfg.seed ^ (0x3000 + i as u64)))
             .collect();
         let ddio_mask = ddio_mask(cfg.llc_slice.ways, cfg.ddio_ways);
-        let private_lines = cfg.cores * (cfg.l1.sets * cfg.l1.ways + cfg.l2.sets * cfg.l2.ways);
         Self {
             uncore: Uncore::new(cfg.slices),
             mem: PhysMem::new(cfg.dram_capacity),
@@ -168,9 +147,6 @@ impl Machine {
             hash,
             topo,
             ddio_mask,
-            orphans: OrphanLedger::default(),
-            orphan_cap: 2 * private_lines,
-            filling: NOT_FILLING,
             cfg,
         }
     }
@@ -307,8 +283,10 @@ impl Machine {
         self.llc[slice].occupancy()
     }
 
-    /// Verifies the inclusion invariant: in [`LlcMode::Inclusive`] every
-    /// line resident in any private cache is also resident in the LLC.
+    /// Verifies the inclusion invariant of [`LlcMode::Inclusive`]: every
+    /// line in core `c`'s L1 or L2 is in the LLC with bit `c` of its
+    /// sharer mask set. This superset property is what lets DMA,
+    /// back-invalidation and `clflush` visit only the cores in the mask.
     /// Returns the first violating `(core, line)` or `None` when the
     /// hierarchy is consistent. Inspection only (no counters move);
     /// intended for tests and debugging.
@@ -322,48 +300,12 @@ impl Machine {
                 .chain(self.l2[c].resident_lines())
             {
                 let s = self.hash.slice_of(PhysAddr(line << 6));
-                if !self.llc[s].probe(line) {
+                if self.llc[s].sharers(line).is_none_or(|m| m >> c & 1 == 0) {
                     return Some((c, line));
                 }
             }
         }
         None
-    }
-
-    /// Verifies the sharer invariant of [`LlcMode::Inclusive`]: every line
-    /// in core `c`'s L1 or L2 is either in the LLC with bit `c` of its
-    /// sharer mask set, or in the orphan ledger with bit `c` set. This
-    /// superset property is what lets DMA, back-invalidation and
-    /// `clflush` visit only the cores in the mask. Returns the first
-    /// violating `(core, line)` or `None`. Inspection only, like
-    /// [`Machine::check_inclusion`].
-    pub fn check_sharers(&self) -> Option<(usize, u64)> {
-        if self.cfg.llc_mode != LlcMode::Inclusive {
-            return None;
-        }
-        for c in 0..self.cfg.cores {
-            for (line, _) in self.l1[c]
-                .resident_lines()
-                .chain(self.l2[c].resident_lines())
-            {
-                let s = self.hash.slice_of(PhysAddr(line << 6));
-                let sharers = self.llc[s]
-                    .sharers(line)
-                    .or_else(|| self.orphans.get(&line).copied())
-                    .unwrap_or(0);
-                if sharers >> c & 1 == 0 {
-                    return Some((c, line));
-                }
-            }
-        }
-        None
-    }
-
-    /// The sharers the orphan ledger holds for the line containing `pa`:
-    /// cores that may keep a private copy of a line the LLC does not
-    /// hold (inspection only).
-    pub fn orphan_sharers(&self, pa: PhysAddr) -> Option<u8> {
-        self.orphans.get(&pa.line()).copied()
     }
 
     /// The cores whose L1 or L2 holds the line containing `pa`, as a bit
@@ -373,12 +315,6 @@ impl Machine {
         (0..self.cfg.cores)
             .filter(|&c| self.l1[c].probe(line) || self.l2[c].probe(line))
             .fold(0, |mask, c| mask | 1 << c)
-    }
-
-    /// Number of lines in the orphan ledger. Never more than twice the
-    /// total number of private-cache lines.
-    pub fn orphan_count(&self) -> usize {
-        self.orphans.len()
     }
 
     /// Resets hit/miss statistics at every level.
@@ -455,10 +391,7 @@ impl Machine {
     pub fn clflush(&mut self, core: usize, pa: PhysAddr) -> Cycles {
         let line = pa.line();
         let s = self.hash.slice_of(pa);
-        let sharers = match self.llc[s].take(line) {
-            Some(ev) => ev.sharers,
-            None => self.take_orphan(line),
-        };
+        let sharers = self.llc[s].take(line).map_or(0, |ev| ev.sharers);
         self.snoop(line, sharers);
         // Dirty data is already coherent in PhysMem (data writes go straight
         // through), so the flush is a pure state change plus its cost.
@@ -494,30 +427,32 @@ impl Machine {
                 None => {
                     self.uncore.on_miss(s);
                     self.uncore.on_fill(s);
-                    self.take_orphan(line)
+                    0
                 }
             };
             self.snoop(line, sharers);
             if let Some(ev) = placed.evicted {
                 self.uncore.on_victim(s);
-                // DDIO does not back-invalidate its victim: any private
-                // copies stay, tracked by the ledger. Its dirty data is
-                // already coherent in PhysMem.
-                self.add_orphan(ev.line, ev.sharers);
+                // An inclusive LLC back-invalidates DDIO's victim like any
+                // other. Its dirty data is already coherent in PhysMem.
+                if self.cfg.llc_mode == LlcMode::Inclusive {
+                    self.snoop(ev.line, ev.sharers);
+                }
             }
         }
     }
 
-    /// Device DMA read (NIC TX): copies `buf.len()` bytes from `pa`.
+    /// Device DMA read (NIC TX) of the `len` bytes at `pa`: one LLC
+    /// lookup per line.
     ///
     /// Reads served from the LLC when resident (DDIO), otherwise from
-    /// DRAM; either way no cache state changes and no core cycles.
-    pub fn dma_read(&mut self, pa: PhysAddr, buf: &mut [u8]) {
-        for (base, _, _) in split_lines(pa, buf.len()) {
+    /// DRAM; either way no cache state changes and no core cycles. The
+    /// bytes go to the device, so none are copied out.
+    pub fn dma_read(&mut self, pa: PhysAddr, len: usize) {
+        for (base, _, _) in split_lines(pa, len) {
             let s = self.hash.slice_of(base);
             self.uncore.on_lookup(s);
         }
-        self.mem.read(pa, buf);
     }
 
     // ------------------------------------------------------------------
@@ -549,11 +484,9 @@ impl Machine {
             self.fill_l1(core, line, false);
             return u64::from(self.cfg.l2.latency);
         }
-        self.filling = line;
         let lat = self.fetch_from_llc_or_dram(core, line);
         self.fill_l2(core, line, false);
         self.fill_l1(core, line, false);
-        self.filling = NOT_FILLING;
         self.run_prefetch(core, line);
         lat
     }
@@ -568,14 +501,12 @@ impl Machine {
         let fetch = if self.l2[core].lookup(line).is_some() {
             u64::from(self.cfg.l2.latency)
         } else {
-            self.filling = line;
             let lat = self.fetch_from_llc_or_dram(core, line);
             self.fill_l2(core, line, false);
             self.run_prefetch(core, line);
             lat
         };
         self.fill_l1(core, line, true);
-        self.filling = NOT_FILLING;
         // The RFO fill occupies the memory pipeline but the store buffer
         // hides it from the core until the budget saturates (Fig. 5b vs
         // Fig. 6b).
@@ -605,18 +536,11 @@ impl Machine {
         let s = self.hash.slice_of(PhysAddr(line << 6));
         self.uncore.on_fill(s);
         let mask = self.cat_mask[core];
-        // A line coming back into the LLC takes over its orphaned sharers.
-        let sharers = 1 << core | self.take_orphan(line);
-        if let Some(ev) = self.llc[s].insert_sharing(line, dirty, sharers, mask) {
+        if let Some(ev) = self.llc[s].insert_sharing(line, dirty, 1 << core, mask) {
             self.uncore.on_victim(s);
             if self.cfg.llc_mode == LlcMode::Inclusive {
                 // Inclusive LLC: a victim must leave the private caches too.
                 self.snoop(ev.line, ev.sharers);
-                if ev.line == self.filling {
-                    // The demand line itself was evicted on its way to L1,
-                    // which it still reaches: this core keeps an orphan.
-                    self.add_orphan(ev.line, 1 << core);
-                }
             }
             // Dirty victims drain to DRAM through deep buffers; no core
             // cost is modelled for them.
@@ -637,40 +561,6 @@ impl Machine {
             self.l1[c].invalidate(line);
             self.l2[c].invalidate(line);
             cores &= cores - 1;
-        }
-    }
-
-    /// Removes `line`'s ledger entry, returning its sharers (0 if none).
-    #[inline]
-    fn take_orphan(&mut self, line: u64) -> u8 {
-        if self.orphans.is_empty() {
-            return 0;
-        }
-        self.orphans.remove(&line).unwrap_or(0)
-    }
-
-    /// Records that the cores in `sharers` may hold `line` privately while
-    /// the LLC does not. Past `orphan_cap` entries the ledger is pruned to
-    /// the cores that really hold each line, which leaves at most one
-    /// entry per private-cache line.
-    fn add_orphan(&mut self, line: u64, sharers: u8) {
-        if sharers == 0 || self.cfg.llc_mode != LlcMode::Inclusive {
-            return;
-        }
-        *self.orphans.entry(line).or_insert(0) |= sharers;
-        if self.orphans.len() > self.orphan_cap {
-            let (l1, l2) = (&self.l1, &self.l2);
-            self.orphans.retain(|&orphan, sharers| {
-                let mut rest = *sharers;
-                while rest != 0 {
-                    let c = rest.trailing_zeros() as usize;
-                    if !l1[c].probe(orphan) && !l2[c].probe(orphan) {
-                        *sharers &= !(1 << c);
-                    }
-                    rest &= rest - 1;
-                }
-                *sharers != 0
-            });
         }
     }
 
@@ -698,10 +588,12 @@ impl Machine {
         match self.cfg.llc_mode {
             LlcMode::Inclusive => {
                 if ev.dirty {
-                    if !self.llc[s].mark_dirty(ev.line) {
-                        // Transiently absent (e.g. CAT shuffles): restore.
-                        self.llc_insert(core, ev.line, true);
-                    }
+                    let included = self.llc[s].mark_dirty(ev.line);
+                    assert!(
+                        included,
+                        "inclusion: L2 victim {:#x} not in the LLC",
+                        ev.line
+                    );
                     // The dirty write-back occupies the path to the slice.
                     self.wb_debt[core] += u64::from(self.topo.llc_latency(core, s));
                 }
@@ -899,7 +791,7 @@ mod tests {
 
     /// Three lines of one slice set: the first is DMA'd and read by core
     /// 0, then the other two fill the 2 DDIO ways and evict it.
-    fn orphaned_by_ddio(m: &mut Machine) -> PhysAddr {
+    fn ddio_victim_read_by_core_0(m: &mut Machine) -> PhysAddr {
         let r = m.mem_mut().alloc(48 << 20, 1 << 20).unwrap();
         let slice = m.slice_of(r.pa(0));
         let lines: Vec<PhysAddr> = (0..400)
@@ -919,98 +811,20 @@ mod tests {
     }
 
     #[test]
-    fn ddio_victim_stays_in_private_caches_and_the_ledger_tracks_it() {
+    fn inclusive_llc_back_invalidates_a_ddio_victim() {
         let mut m = haswell();
-        let pa = orphaned_by_ddio(&mut m);
-        // DDIO does not back-invalidate its victim: inclusion is broken,
-        // but the sharer invariant holds through the ledger.
-        assert_eq!(m.check_inclusion(), Some((0, pa.line())));
-        assert_eq!(m.orphan_sharers(pa), Some(0b1));
-        assert_eq!(m.check_sharers(), None);
+        let pa = ddio_victim_read_by_core_0(&mut m);
+        assert_eq!(m.holders(pa), 0, "the victim left core 0's caches");
+        assert_eq!(m.touch_read(0, pa), 192, "the victim misses everywhere");
+        assert_eq!(m.check_inclusion(), None);
+    }
+
+    #[test]
+    fn victim_mode_ddio_victim_keeps_its_private_copy() {
+        let mut m = skylake();
+        let pa = ddio_victim_read_by_core_0(&mut m);
         assert_eq!(m.holders(pa), 0b1);
         assert_eq!(m.touch_read(0, pa), 4, "core 0 still holds the line in L1");
-
-        // A flush takes the ledger entry and removes the copy.
-        m.clflush(0, pa);
-        assert_eq!(m.orphan_count(), 0);
-        assert_eq!(m.check_inclusion(), None);
-        assert_eq!(m.touch_read(0, pa), 192, "flushed line misses everywhere");
-    }
-
-    #[test]
-    fn dma_write_of_an_orphaned_line_invalidates_its_private_copy() {
-        let mut m = haswell();
-        let pa = orphaned_by_ddio(&mut m);
-        m.dma_write(pa, &[4; 64]);
-        assert_eq!(m.holders(pa), 0);
-        assert_eq!(m.orphan_count(), 0);
-        assert_eq!(m.check_inclusion(), None);
-        assert_eq!(m.check_sharers(), None);
-        // The copy is gone; the DMA placed the line back in the LLC.
-        let slice = m.slice_of(pa);
-        assert_eq!(m.touch_read(0, pa), u64::from(m.llc_latency(0, slice)));
-        m.clflush(0, pa);
-        assert_eq!(m.touch_read(0, pa), 192);
-    }
-
-    #[test]
-    fn refilling_an_orphaned_line_merges_its_sharers() {
-        let mut m = haswell();
-        let pa = orphaned_by_ddio(&mut m);
-        // Core 1 misses the LLC and refills the line; core 0's orphaned
-        // copy joins the new line's sharers.
-        assert_eq!(m.touch_read(1, pa), 192);
-        assert_eq!(m.orphan_count(), 0);
-        assert_eq!(m.check_inclusion(), None);
-        assert_eq!(m.check_sharers(), None);
-        m.dma_write(pa, &[5; 64]);
-        let slice = m.slice_of(pa);
-        let llc = u64::from(m.llc_latency(0, slice));
-        assert_eq!(m.touch_read(0, pa), llc, "the DMA reached core 0's copy");
-    }
-
-    #[test]
-    fn demand_line_evicted_on_its_way_to_l1_is_an_orphan() {
-        // Core 0 may allocate only LLC way 0. Its L2 holds a dirty line y
-        // that a DDIO placement orphaned; reading x, which shares y's LLC
-        // slice set and L2 set, spills y back into way 0 and so evicts x
-        // from the LLC between x's LLC fill and its L1 fill.
-        let mut m = haswell();
-        m.set_cat_mask(0, 0b1);
-        let r = m.mem_mut().alloc(48 << 20, 1 << 20).unwrap();
-        let y = r.pa(0);
-        let slice = m.slice_of(y);
-        let set_mates: Vec<PhysAddr> = (1..400)
-            .map(|i| r.pa(i * 128 * 1024))
-            .filter(|&pa| m.slice_of(pa) == slice)
-            .take(3)
-            .collect();
-        let (a, b, x) = (set_mates[0], set_mates[1], set_mates[2]);
-        m.dma_write(y, &[1; 64]);
-        m.touch_read(0, y);
-        m.touch_write(0, y);
-        // Eight lines of y's L1 set but other L2 sets push y, dirty, to L2.
-        for k in [1, 2, 3, 4, 5, 6, 7, 9] {
-            m.touch_read(0, r.pa(k * 4096));
-        }
-        m.dma_write(a, &[2; 64]);
-        m.dma_write(b, &[3; 64]);
-        assert_eq!(m.orphan_sharers(y), Some(0b1), "DDIO orphaned y");
-        // Seven lines of y's L2 set but other LLC sets make y its LRU way.
-        for j in [1, 2, 3, 5, 6, 7, 9] {
-            m.touch_read(0, r.pa(j * 32 * 1024));
-        }
-        assert_eq!(m.touch_read(0, x), 192);
-        assert!(!m.llc_probe(slice, x), "y's write-back evicted x");
-        assert_eq!(m.check_inclusion(), Some((0, x.line())));
-        assert_eq!(m.orphan_sharers(x), Some(0b1));
-        assert_eq!(m.check_sharers(), None);
-        m.dma_write(x, &[4; 64]);
-        assert_eq!(
-            m.holders(x),
-            0,
-            "the DMA found core 0's copy through the ledger"
-        );
     }
 
     #[test]
@@ -1032,8 +846,8 @@ mod tests {
             !m.llc_probe(s, pa),
             "Skylake: a DRAM fill bypasses the LLC (non-inclusive)"
         );
-        // Evict it from L2 by filling the same L2 set (1024-set stride =
-        // 64 KB) past 16 ways.
+        // Evict it from L2 with 17 more lines of its L2 set (1024-set
+        // stride = 64 KB, 16 ways).
         for i in 1..=17 {
             m.touch_read(0, r.pa(i * 64 * 1024));
         }

@@ -229,42 +229,6 @@ fn dma_coherency() {
     }
 }
 
-/// The inclusive-LLC invariant holds under arbitrary interleavings of
-/// reads, writes, flushes and DMA from all cores.
-///
-/// Its lines are 512 B apart over 1 MB, so they spread over the LLC with
-/// about one line per slice set: no set ever holds three DMA'd lines, and
-/// no DDIO placement evicts anything. The DDIO victims that break
-/// inclusion are covered by `sharer_superset_under_ddio_chaos` instead.
-#[test]
-fn inclusion_invariant_under_chaos() {
-    let mut rng = Rng64::seed_from_u64(0x11b5);
-    for _ in 0..6 {
-        let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(16 << 20));
-        let r = m.mem_mut().alloc(1 << 20, 1 << 20).unwrap();
-        let n = rng.gen_range(1usize..150);
-        for _ in 0..n {
-            let op = rng.gen_range(0u32..4);
-            let core = rng.gen_range(0usize..8);
-            let slot = rng.gen_range(0usize..2048);
-            let pa = r.pa(slot * 512);
-            match op {
-                0 => {
-                    m.touch_read(core, pa);
-                }
-                1 => {
-                    m.touch_write(core, pa);
-                }
-                2 => {
-                    m.clflush(core, pa);
-                }
-                _ => m.dma_write(pa, &[1u8; 64]),
-            }
-            assert_eq!(m.check_inclusion(), None);
-        }
-    }
-}
-
 /// `cfg` with private caches of 6 lines per core: a one-set 2-way L1
 /// and a two-set 2-way L2.
 fn small_private_caches(mut cfg: MachineConfig) -> MachineConfig {
@@ -285,19 +249,16 @@ fn small_private_caches(mut cfg: MachineConfig) -> MachineConfig {
 /// by 8 cores over 384 lines that share two LLC set indices (192 lines
 /// 128 KB apart per index, about 24 per slice set), so the 2 DDIO ways,
 /// narrow CAT masks and the 20-way sets all overflow. After every step
-/// the sharer masks must cover every private copy and the orphan ledger
-/// must stay within twice the private-cache lines, and a flushed or
-/// DMA'd line must be in no private cache. Returns the largest
-/// ledger seen and whether inclusion was ever broken.
-fn sharer_chaos(mut m: Machine, seed: u64, ops: usize) -> (usize, bool) {
+/// inclusion must hold (every private copy in the LLC with its core's
+/// sharer bit set), and a flushed or DMA'd line must be in no private
+/// cache.
+fn sharer_chaos(mut m: Machine, seed: u64, ops: usize) {
     let cfg = m.config().clone();
-    let private_lines = cfg.cores * (cfg.l1.sets * cfg.l1.ways + cfg.l2.sets * cfg.l2.ways);
     let r = m.mem_mut().alloc(24 << 20, 1 << 20).unwrap();
     let lines: Vec<PhysAddr> = (0..192)
         .flat_map(|k| [0, 1].map(|j| r.pa(k * (128 << 10) + j * 64)))
         .collect();
     let mut rng = Rng64::seed_from_u64(seed);
-    let (mut peak, mut broken) = (0, false);
     for op in 0..ops {
         let core = rng.gen_range(0..cfg.cores);
         let pa = lines[rng.gen_range(0..lines.len())];
@@ -326,19 +287,16 @@ fn sharer_chaos(mut m: Machine, seed: u64, ops: usize) -> (usize, bool) {
         if matches!(what, "clflush" | "dma") {
             assert_eq!(m.holders(pa), 0, "{ctx}: a private copy survived");
         }
-        assert_eq!(m.check_sharers(), None, "{ctx}");
-        assert!(m.orphan_count() <= 2 * private_lines, "{ctx}");
-        peak = peak.max(m.orphan_count());
-        broken |= m.check_inclusion().is_some();
+        assert_eq!(m.check_inclusion(), None, "{ctx}");
     }
-    (peak, broken)
 }
 
-/// The sharer masks stay a superset of the cores holding each line
-/// through DDIO evictions, inclusive back-invalidations and flushes, on
-/// the Haswell config, with cores restricted to one and two CAT ways,
-/// with the BIOS-default prefetchers, with random replacement, and with
-/// private caches of 6 lines per core.
+/// Inclusion holds, and the sharer masks stay a superset of the cores
+/// holding each line, through DDIO evictions, inclusive
+/// back-invalidations and flushes, on the Haswell config, with cores
+/// restricted to one and two CAT ways, with the BIOS-default
+/// prefetchers, with random replacement, and with private caches of 6
+/// lines per core.
 #[test]
 fn sharer_superset_under_ddio_chaos() {
     let haswell = || MachineConfig::haswell_e5_2667_v3().with_dram_capacity(32 << 20);
@@ -363,38 +321,26 @@ fn sharer_superset_under_ddio_chaos() {
     ];
     for seed in 0..2u64 {
         for name in names {
-            let (peak, broken) = sharer_chaos(machine(name), 0x5a1e ^ seed, 300);
-            assert!(
-                broken && peak > 0,
-                "{name}, seed {seed}: the grid must leave DDIO victims in private caches"
-            );
+            sharer_chaos(machine(name), 0x5a1e ^ seed, 300);
         }
     }
 }
 
-/// DDIO victims read by a core pile up in the orphan ledger. With
-/// private caches of 6 lines per core, the ledger reaches twice the 48
-/// private-cache lines, is pruned to the lines still held privately, and
-/// the sharer invariant holds throughout.
+/// A stream of DMA writes, each read by one core, over one LLC set
+/// index of every slice: past the first 16 lines every DMA evicts an
+/// earlier line from its slice's 2 DDIO ways while some core still holds
+/// it. With private caches of 6 lines per core, inclusion holds after
+/// every step.
 #[test]
-fn orphan_ledger_is_pruned_at_twice_the_private_lines() {
+fn ddio_victims_read_by_cores_keep_inclusion() {
     let cfg =
         small_private_caches(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(80 << 20));
-    let bound = 2 * cfg.cores * 6;
     let mut m = Machine::new(cfg);
     let r = m.mem_mut().alloc(76 << 20, 1 << 20).unwrap();
-    let (mut peak, mut pruned) = (0, false);
     for i in 0..600 {
-        // One LLC set index in every slice: each DMA past the first 16
-        // evicts an earlier line from its slice's 2 DDIO ways.
         let pa = r.pa(i * (128 << 10));
         m.dma_write(pa, &[1u8; 64]);
         m.touch_read(i % 8, pa);
-        assert_eq!(m.check_sharers(), None, "step {i}");
-        assert!(m.orphan_count() <= bound, "step {i}");
-        pruned |= m.orphan_count() < peak;
-        peak = peak.max(m.orphan_count());
+        assert_eq!(m.check_inclusion(), None, "step {i}");
     }
-    assert_eq!(peak, bound, "the ledger fills up to its bound");
-    assert!(pruned, "and is then pruned");
 }

@@ -466,11 +466,10 @@ impl Port {
         frames: &[TxDesc],
     ) -> Cycles {
         let mut cycles = 0;
-        let mut scratch = vec![0u8; 2048];
         for d in frames {
             // Doorbell/descriptor write: one store.
             cycles += m.touch_write(core, d.data_pa);
-            m.dma_read(d.data_pa, &mut scratch[..d.len as usize]);
+            m.dma_read(d.data_pa, usize::from(d.len));
             self.stats.tx_pkts += 1;
             self.stats.tx_bytes += u64::from(d.len);
             pool.put(d.mbuf);
@@ -580,6 +579,35 @@ mod tests {
         let s = port.stats();
         assert_eq!(s.tx_pkts, 1);
         assert_eq!(s.tx_bytes, 200);
+    }
+
+    #[test]
+    fn tx_burst_reads_a_jumbo_frame_once_per_line() {
+        // A 9000 B frame from a pool with a 9216 B data room: the NIC
+        // looks up each of its 141 lines once, in that line's slice.
+        let mut m = Machine::new(MachineConfig::haswell_e5_2667_v3().with_dram_capacity(64 << 20));
+        let mut pool = MbufPool::create(&mut m, 4, 128, 9216).unwrap();
+        let mut port = Port::new(0, Steering::Rss(Rss::new(1)), 4);
+        let mbuf = pool.get().unwrap();
+        let data_pa = pool.meta(mbuf).data_pa_for(128);
+        // The doorbell store of `tx_burst` then hits L1: no LLC lookup.
+        m.touch_write(0, data_pa);
+        let mut lookups = vec![0; m.config().slices];
+        for (line, _, _) in llc_sim::addr::split_lines(data_pa, 9000) {
+            lookups[m.slice_of(line)] += 1;
+        }
+        assert_eq!(lookups.iter().sum::<u64>(), 141);
+        m.uncore_mut().reset();
+        let desc = TxDesc {
+            mbuf,
+            data_pa,
+            len: 9000,
+        };
+        port.tx_burst(&mut m, &mut pool, 0, &[desc]);
+        assert_eq!(m.uncore().read_all(), lookups);
+        let s = port.stats();
+        assert_eq!((s.tx_pkts, s.tx_bytes), (1, 9000));
+        assert_eq!(pool.available(), 4, "the buffer went back to the pool");
     }
 
     #[test]

@@ -121,6 +121,37 @@ fn rates_and_duration_are_consistent() {
     assert!(res.duration_ns > 0.0);
 }
 
+/// The Fig. 14 chain (Router-NAPT-LB, FlowDirector offload, campus mix
+/// at 100 Gbps), stock and with CacheDirector: DDIO evicts lines the
+/// cores have read, and the inclusive LLC must still hold every private
+/// line afterwards.
+#[test]
+fn fig14_chain_keeps_the_llc_inclusive() {
+    use nfv::runtime::Testbed;
+    let stock = HeadroomMode::Stock;
+    let cd = HeadroomMode::CacheDirector {
+        preferred_slices: 1,
+    };
+    for headroom in [stock, cd] {
+        let chain = ChainSpec::RouterNaptLb {
+            routes: 3120,
+            offload: true,
+        };
+        let c = RunConfig::paper_defaults(chain, SteeringKind::FlowDirector, headroom);
+        let mut tb = Testbed::new(c).expect("config fits");
+        let mut trace = CampusTrace::new(SizeMix::campus(), 10_000, 42);
+        let mut sched = ArrivalSchedule::constant_gbps(100.0, 670.0);
+        for _ in 0..20_000 {
+            let t = sched.next_arrival_ns();
+            let spec = trace.next_packet();
+            tb.offer(&spec.flow, spec.size, t);
+        }
+        assert_eq!(tb.machine().check_inclusion(), None, "{headroom:?}");
+        let res = tb.finish();
+        assert_eq!(res.delivered + res.dropped, res.offered);
+    }
+}
+
 #[test]
 fn skylake_machine_runs_the_same_pipeline() {
     use llc_sim::machine::{Machine, MachineConfig};
